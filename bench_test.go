@@ -26,7 +26,7 @@ var benchDoc = struct {
 }{}
 
 // benchDocument returns a ~512 KB XMark document, generated once.
-func benchDocument(b *testing.B) string {
+func benchDocument(testing.TB) string {
 	benchDoc.once.Do(func() {
 		var sb strings.Builder
 		if _, err := xmark.Generate(&sb, xmark.GenOptions{
@@ -205,6 +205,48 @@ func BenchmarkSharedScan(b *testing.B) {
 		}
 		b.ReportMetric(float64(scanned), "tokens-scanned")
 	})
+}
+
+// BenchmarkJoinShapes runs q8's person × closed-auction join under four
+// where clauses: = and > are served by the join probe's hash and sorted
+// indexes, != and or fall back to the nested loop over operand columns.
+// Each returns the auction id, so output serialization stays small next
+// to the join. index-bytes is the peak size of the probe indexes.
+func BenchmarkJoinShapes(b *testing.B) {
+	doc := benchDocument(b)
+	shapes := []struct{ name, where string }{
+		{"eq", "$t/buyer/buyer_person = $p/person_id"},
+		{"gt", "$t/buyer/buyer_person > $p/person_id"},
+		{"ne", "$t/buyer/buyer_person != $p/person_id"},
+		{"or", "$t/buyer/buyer_person = $p/person_id or $t/seller/seller_person = $p/person_id"},
+	}
+	for _, shape := range shapes {
+		q, err := Prepare(`<query8>
+{ for $p in /site/people/person return
+  <item>
+  <person> {$p/name} </person>
+  <items_bought>
+  { for $t in /site/closed_auctions/closed_auction
+    where `+shape.where+`
+    return <result> {$t/closed_auction_id} </result> }
+  </items_bought>
+  </item> }
+</query8>`, xmark.DTD)
+		if err != nil {
+			b.Fatalf("%s: %v", shape.name, err)
+		}
+		b.Run(shape.name, func(b *testing.B) {
+			b.SetBytes(int64(len(doc)))
+			var st Stats
+			for i := 0; i < b.N; i++ {
+				if st, err = q.Run(strings.NewReader(doc), io.Discard, Options{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(st.PeakBufferBytes), "buffered-bytes")
+			b.ReportMetric(float64(st.IndexBytes), "index-bytes")
+		})
+	}
 }
 
 // BenchmarkScanner measures raw SAX tokenization throughput, the

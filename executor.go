@@ -372,6 +372,8 @@ func (e *Executor) runScan(doc string, reqs []*execRequest) {
 	for i, req := range reqs {
 		charges[i] = ScanCharge{Sig: req.q.plan.SigKey(), PredictedBytes: req.q.plan.PredictedPeakBytes()}
 	}
+	// Admission is released before any result is sent on req.done, so a
+	// caller that got its result never sees its scan as still active.
 	release := e.cat.AdmitScanCharges(doc, charges)
 	defer release()
 	// Admission may have queued for a while; callers that died waiting
@@ -394,6 +396,7 @@ func (e *Executor) runScan(doc string, reqs []*execRequest) {
 	}
 
 	fail := func(err error) {
+		release()
 		for _, req := range reqs {
 			req.done <- execOutcome{res: ExecResult{BatchSize: n}, err: err}
 		}
@@ -438,6 +441,9 @@ func (e *Executor) runScan(doc string, reqs []*execRequest) {
 		fail(err)
 		return
 	}
+	// Every counter is final before the first result goes out, so a
+	// caller that got its result reads /stats that include its scan.
+	release()
 	for i, req := range reqs {
 		r := results[i]
 		// A failed slot whose caller context is done counts as canceled,
@@ -454,12 +460,16 @@ func (e *Executor) runScan(doc string, reqs []*execRequest) {
 			e.cat.ObservePeak(req.q.plan.SigKey(), req.q.plan.PredictedPeakBytes(), r.Stats.PeakBufferBytes)
 		}
 		c.eventsSkipped.Add(r.SkippedEvents)
+	}
+	for i, req := range reqs {
+		r := results[i]
 		req.done <- execOutcome{
 			res: ExecResult{
 				Stats: Stats{
 					PeakBufferBytes: r.Stats.PeakBufferBytes,
 					OutputBytes:     r.Stats.OutputBytes,
 					Tokens:          r.Stats.Tokens,
+					IndexBytes:      r.Stats.IndexBytes,
 				},
 				BatchSize: n,
 			},

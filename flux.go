@@ -81,6 +81,11 @@ type Stats struct {
 	OutputBytes int64
 	// Tokens is the number of SAX events processed (FluX engine only).
 	Tokens int64
+	// IndexBytes is the peak nominal size of the hash and sorted indexes
+	// the FluX engine built to probe buffered joins (FluX engine only).
+	// It is kept apart from PeakBufferBytes, which counts query data as
+	// Figure 4 does.
+	IndexBytes int64
 }
 
 // Query is a prepared query: parsed, normalized, scheduled into safe FluX,
@@ -262,7 +267,7 @@ func (q *Query) RunContext(ctx context.Context, r io.Reader, w io.Writer, opt Op
 		// validated against the DTD; ValidateDocument covers full-document
 		// validation.
 		st, err := engine.RunSelectiveContext(ctx, q.plan, r, w, saxOpt)
-		return Stats{PeakBufferBytes: st.PeakBufferBytes, OutputBytes: st.OutputBytes, Tokens: st.Tokens}, err
+		return Stats{PeakBufferBytes: st.PeakBufferBytes, OutputBytes: st.OutputBytes, Tokens: st.Tokens, IndexBytes: st.IndexBytes}, err
 	}
 }
 
@@ -340,6 +345,7 @@ func RunAllContext(ctx context.Context, queries []*Query, r io.Reader, opt Optio
 				PeakBufferBytes: res.Stats.PeakBufferBytes,
 				OutputBytes:     res.Stats.OutputBytes,
 				Tokens:          res.Stats.Tokens,
+				IndexBytes:      res.Stats.IndexBytes,
 			},
 			Err: res.Err,
 		}

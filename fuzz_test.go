@@ -9,6 +9,7 @@ package flux
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -64,10 +65,15 @@ var fuzzSchemas = []string{
 }
 
 // queryGen builds random closed queries whose paths follow the schema.
+// With joins set it also generates path-vs-path comparisons and
+// nested-loop joins; without, it draws exactly the random numbers it
+// did before joins existed, so the seed corpora of the dispatch fuzz
+// targets keep generating the same batches.
 type queryGen struct {
 	r      *rand.Rand
 	schema *dtd.Schema
 	nvars  int
+	joins  bool
 }
 
 type binding struct {
@@ -110,6 +116,17 @@ func (g *queryGen) randPath(elem string, maxLen int) (xq.Path, string) {
 
 var fuzzConsts = []string{"alpha", "beta", "7", "1991", "42"}
 
+// fuzzScales are the arithmetic multipliers of generated join operands.
+var fuzzScales = []float64{2, 0.5, -1}
+
+// joinTexts is a document vocabulary of values whose string and numeric
+// orders disagree: numerically equal spellings, signed zero, NaN and
+// infinity, mixed with words. Join conditions over it exercise every
+// branch of the value comparison rules.
+var joinTexts = []string{"7", "7.0", " 7 ", "007", "0", "-0", "NaN", "Inf", "alpha", "beta", "x y"}
+
+var fuzzOps = []xq.RelOp{xq.OpEq, xq.OpNe, xq.OpLt, xq.OpGt, xq.OpLe, xq.OpGe}
+
 func (g *queryGen) randCond(vars []binding) xq.Cond {
 	switch g.r.Intn(6) {
 	case 0:
@@ -127,7 +144,8 @@ func (g *queryGen) randCond(vars []binding) xq.Cond {
 }
 
 func (g *queryGen) randCondAtom(vars []binding) xq.Cond {
-	b := vars[g.r.Intn(len(vars))]
+	i := g.r.Intn(len(vars))
+	b := vars[i]
 	path, _ := g.randPath(b.elem, 2)
 	if path == nil {
 		return xq.True{}
@@ -137,14 +155,46 @@ func (g *queryGen) randCondAtom(vars []binding) xq.Cond {
 		return &xq.Exists{Var: b.v, Path: path}
 	case 1:
 		return &xq.Exists{Var: b.v, Path: path, Neg: true}
+	case 2:
+		if g.joins {
+			others := append(vars[:i:i], vars[i+1:]...)
+			if len(others) == 0 {
+				others = vars
+			}
+			if c := g.randJoinAtom(others, xq.PathOp(b.v, path)); c != nil {
+				return c
+			}
+		}
+		fallthrough
 	default:
-		ops := []xq.RelOp{xq.OpEq, xq.OpNe, xq.OpLt, xq.OpGt, xq.OpLe, xq.OpGe}
 		return &xq.Cmp{
 			L:  xq.PathOp(b.v, path),
 			R:  xq.ConstOp(fuzzConsts[g.r.Intn(len(fuzzConsts))]),
-			Op: ops[g.r.Intn(len(ops))],
+			Op: fuzzOps[g.r.Intn(len(fuzzOps))],
 		}
 	}
+}
+
+// randJoinAtom compares operand l with a path rooted at one of others
+// (the innermost half the time), on either side, sometimes scaled. It
+// returns nil when the chosen binding has no child paths.
+func (g *queryGen) randJoinAtom(others []binding, l xq.Operand) xq.Cond {
+	b := others[len(others)-1]
+	if g.r.Intn(2) == 0 {
+		b = others[g.r.Intn(len(others))]
+	}
+	path, _ := g.randPath(b.elem, 2)
+	if path == nil {
+		return nil
+	}
+	r := xq.PathOp(b.v, path)
+	if g.r.Intn(3) == 0 {
+		r.Scale = fuzzScales[g.r.Intn(len(fuzzScales))]
+	}
+	if g.r.Intn(2) == 0 {
+		l, r = r, l
+	}
+	return &xq.Cmp{L: l, R: r, Op: fuzzOps[g.r.Intn(len(fuzzOps))]}
 }
 
 func (g *queryGen) build(vars []binding, depth int) xq.Expr {
@@ -168,6 +218,11 @@ func (g *queryGen) build(vars []binding, depth int) xq.Expr {
 		return &xq.If{Cond: g.randCond(vars), Then: g.build(vars, depth-1)}
 	case 5, 6:
 		return xq.NewSeq(g.build(vars, depth-1), g.build(vars, depth-1))
+	case 7, 8:
+		if g.joins {
+			return g.randJoin(vars, depth)
+		}
+		fallthrough
 	default:
 		b := vars[g.r.Intn(len(vars))]
 		path, elem := g.randPath(b.elem, 2)
@@ -176,22 +231,69 @@ func (g *queryGen) build(vars []binding, depth int) xq.Expr {
 		}
 		v := g.freshVar()
 		f := &xq.For{Var: v, Src: b.v, Path: path}
-		if g.r.Intn(3) == 0 {
+		switch g.r.Intn(3) {
+		case 0:
 			f.Where = g.randCond(append(vars, binding{v, elem}))
+		case 1:
+			// A join of the loop variable with an outer binding.
+			if !g.joins {
+				break
+			}
+			if vpath, _ := g.randPath(elem, 2); vpath != nil {
+				if c := g.randJoinAtom(vars, xq.PathOp(v, vpath)); c != nil {
+					f.Where = c
+				}
+			}
 		}
 		f.Body = g.build(append(vars, binding{v, elem}), depth-1)
 		return f
 	}
 }
 
+// randJoin builds a nested-loop join: two loops over paths from one
+// binding, the inner one filtered by a comparison between the two loop
+// variables — the shape the engine's join probes serve.
+func (g *queryGen) randJoin(vars []binding, depth int) xq.Expr {
+	b := vars[g.r.Intn(len(vars))]
+	// Loops right below the document iterate its single root element;
+	// step past it to reach repeated elements.
+	loopPath := func() (xq.Path, string) {
+		if b.elem != dtd.DocumentVar {
+			return g.randPath(b.elem, 3)
+		}
+		path, elem := g.randPath(g.schema.Root, 2)
+		if path == nil {
+			return nil, ""
+		}
+		return append(xq.Path{g.schema.Root}, path...), elem
+	}
+	opath, oelem := loopPath()
+	ipath, ielem := loopPath()
+	if opath == nil || ipath == nil {
+		return &xq.Str{S: "j"}
+	}
+	outer := binding{g.freshVar(), oelem}
+	inner := binding{g.freshVar(), ielem}
+	f := &xq.For{Var: inner.v, Src: b.v, Path: ipath}
+	if path, _ := g.randPath(ielem, 2); path != nil {
+		f.Where = g.randJoinAtom([]binding{outer}, xq.PathOp(inner.v, path))
+	}
+	f.Body = g.build(append(slices.Clip(vars), outer, inner), depth-1)
+	return &xq.For{Var: outer.v, Src: b.v, Path: opath, Body: f}
+}
+
 func TestFuzzDifferential(t *testing.T) {
 	const queriesPerSchema = 120
 	const docsPerQuery = 3
-	totalSkipped, total := 0, 0
+	// minProbedLoops keeps the generator reaching the engine's join
+	// probes (index lines in the plan): path-vs-path atoms guarding
+	// every output of a loop.
+	const minProbedLoops = 50
+	totalSkipped, total, probed := 0, 0, 0
 	for si, dtdText := range fuzzSchemas {
 		schema := dtd.MustParse(dtdText)
 		for seed := 0; seed < queriesPerSchema; seed++ {
-			g := &queryGen{r: rand.New(rand.NewSource(int64(si*10000 + seed))), schema: schema}
+			g := &queryGen{r: rand.New(rand.NewSource(int64(si*10000 + seed))), schema: schema, joins: true}
 			queryAST := g.build([]binding{{xq.RootVar, dtd.DocumentVar}}, 4)
 			queryText := xq.Print(queryAST)
 			total++
@@ -204,8 +306,13 @@ func TestFuzzDifferential(t *testing.T) {
 				totalSkipped++
 				continue
 			}
+			probed += strings.Count(q.PlanText(), " index ")
 			for d := 0; d < docsPerQuery; d++ {
-				doc := dtd.RandomDocument(schema, int64(seed*31+d), dtd.GenOptions{})
+				opt := dtd.GenOptions{}
+				if d > 0 {
+					opt.Texts = joinTexts
+				}
+				doc := dtd.RandomDocument(schema, int64(seed*31+d), opt)
 				outF, _, err := q.RunString(doc, Options{Engine: FluX})
 				if err != nil {
 					t.Fatalf("schema %d seed %d: flux run: %v\nquery: %s\ndoc: %s\nplan:\n%s",
@@ -233,7 +340,10 @@ func TestFuzzDifferential(t *testing.T) {
 	if totalSkipped*4 > total {
 		t.Errorf("too many queries rejected: %d of %d; generator or engine too restrictive", totalSkipped, total)
 	}
-	t.Logf("fuzz: %d queries, %d rejected at compile time", total, totalSkipped)
+	if probed < minProbedLoops {
+		t.Errorf("only %d probed loops compiled, want at least %d; the generator no longer reaches the join index", probed, minProbedLoops)
+	}
+	t.Logf("fuzz: %d queries, %d rejected at compile time, %d probed loops", total, totalSkipped, probed)
 }
 
 // TestFuzzNormalizeEquivalence: normalization and loop merging preserve
@@ -267,4 +377,42 @@ func naiveEval(t *testing.T, ast xq.Expr, doc string) string {
 		t.Fatalf("naive eval: %v", err)
 	}
 	return sb.String()
+}
+
+// TestFuzzFoundRegressions replays queries the differential fuzzer once
+// caught, against the oracle.
+func TestFuzzFoundRegressions(t *testing.T) {
+	cases := []struct {
+		schema     int
+		query, doc string
+	}{
+		// An on-first handler ahead of the on-handler for r fired at r's
+		// start tag and read $ROOT/r empty.
+		{1, `{ if $ROOT/r/a != 1991 or $ROOT/r != 7 then s1 } { $ROOT/r/a }`,
+			`<r><c>gamma</c></r>`},
+		// The copy guard of a simple handler compares buffered data that
+		// no buffer tree held.
+		{2, `{ if $ROOT/r/hdr > $ROOT/r/hdr then { for $v1 in $ROOT/r where exists $ROOT/r return { $ROOT/r/grp } } }`,
+			`<r><hdr><k>-0</k><v>beta</v></hdr><grp><k>beta</k><x>007</x></grp></r>`},
+		// A scaled operand printed on the left of a comparison reparses.
+		{3, `{ for $v1 in $ROOT/r/s return { for $v2 in $ROOT/r/s where (-1 * $v1/u/w) <= $v2/u/w return s1 } }`,
+			`<r><s><u><w>7</w></u></s><s><u><w>-0</w><w>NaN</w></u></s></r>`},
+	}
+	for _, c := range cases {
+		q, err := PrepareWithSchema(c.query, dtd.MustParse(fuzzSchemas[c.schema]))
+		if err != nil {
+			t.Fatalf("%s: %v", c.query, err)
+		}
+		got, _, err := q.RunString(c.doc, Options{})
+		if err != nil {
+			t.Fatalf("%s: flux run: %v\nplan:\n%s", c.query, err, q.PlanText())
+		}
+		want, _, err := q.RunString(c.doc, Options{Engine: Naive})
+		if err != nil {
+			t.Fatalf("%s: naive run: %v", c.query, err)
+		}
+		if got != want {
+			t.Errorf("%s: flux %q, oracle %q\nplan:\n%s", c.query, got, want, q.PlanText())
+		}
+	}
 }

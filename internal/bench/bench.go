@@ -228,6 +228,7 @@ type Row struct {
 	Mode    Mode
 	Elapsed time.Duration
 	Buffer  int64 // peak buffered/materialized bytes
+	Index   int64 // peak join-index bytes (FluX engine; see flux.Stats.IndexBytes)
 	Output  int64
 	Tokens  int64 // events delivered to queries (fan-out rows)
 	Skipped bool  // baseline skipped at this size
@@ -299,13 +300,14 @@ func RunContext(ctx context.Context, cfg Config) ([]Row, error) {
 					}
 					if rep == 0 {
 						row.Buffer = st.PeakBufferBytes
+						row.Index = st.IndexBytes
 						row.Output = st.OutputBytes
 					}
 				}
 				rows = append(rows, row)
 				if cfg.Progress != nil {
-					fmt.Fprintf(cfg.Progress, "%-4s %4dMB %-13s %10.2fs %12s buffered\n",
-						qname, sizeMB, mode, row.Elapsed.Seconds(), FormatBytes(row.Buffer))
+					fmt.Fprintf(cfg.Progress, "%-4s %4dMB %-13s %10.2fs %12s buffered %10s index\n",
+						qname, sizeMB, mode, row.Elapsed.Seconds(), FormatBytes(row.Buffer), FormatBytes(row.Index))
 				}
 			}
 		}
@@ -1119,6 +1121,7 @@ func runShared(ctx context.Context, qnames []string, docPath string, sizeMB int,
 					return row, r.Err
 				}
 				row.Buffer += r.Stats.PeakBufferBytes
+				row.Index += r.Stats.IndexBytes
 				row.Output += r.Stats.OutputBytes
 			}
 		}
@@ -1288,13 +1291,21 @@ func FormatTable(rows []Row, modes []Mode) string {
 	}
 	sort.Ints(sizes)
 
+	// The FluX engine's join indexes get a column of their own, so the
+	// memory columns stay the paper's buffered bytes.
+	index := inModes[ModeFluX]
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-6s %6s", "query", "size")
 	for _, m := range modes {
 		fmt.Fprintf(&b, " | %24s", string(m)+" (time/mem)")
 	}
+	width := 14 + 27*len(modes)
+	if index {
+		fmt.Fprintf(&b, " | %10s", "flux index")
+		width += 13
+	}
 	b.WriteString("\n")
-	b.WriteString(strings.Repeat("-", 14+27*len(modes)) + "\n")
+	b.WriteString(strings.Repeat("-", width) + "\n")
 	for _, q := range queries {
 		for _, s := range sizes {
 			row, ok := cells[key{q, s}]
@@ -1312,6 +1323,9 @@ func FormatTable(rows []Row, modes []Mode) string {
 				default:
 					fmt.Fprintf(&b, " | %13.2fs /%8s", r.Elapsed.Seconds(), FormatBytes(r.Buffer))
 				}
+			}
+			if index {
+				fmt.Fprintf(&b, " | %10s", FormatBytes(row[ModeFluX].Index))
 			}
 			b.WriteString("\n")
 		}

@@ -38,7 +38,7 @@ func TestRunTinySweep(t *testing.T) {
 		}
 	}
 	table := FormatTable(rows, []Mode{ModeFluX, ModeNaive})
-	for _, want := range []string{"q1", "q20", "flux (time/mem)", "naive (time/mem)"} {
+	for _, want := range []string{"q1", "q20", "flux (time/mem)", "naive (time/mem)", "flux index"} {
 		if !strings.Contains(table, want) {
 			t.Errorf("table missing %q:\n%s", want, table)
 		}

@@ -54,7 +54,10 @@ type SnapshotRow struct {
 	Mode        Mode   `json:"mode"`
 	ElapsedNS   int64  `json:"elapsed_ns"`
 	BufferBytes int64  `json:"buffer_bytes"`
-	OutputBytes int64  `json:"output_bytes"`
+	// IndexBytes is the FluX engine's peak join-index bytes, kept apart
+	// from BufferBytes, the paper's Figure 4 memory metric.
+	IndexBytes  int64 `json:"index_bytes,omitempty"`
+	OutputBytes int64 `json:"output_bytes"`
 	// TokensDelivered is the summed events delivered to the row's
 	// queries (fan-out rows only; see ModeFanoutAll/ModeFanoutSelective).
 	TokensDelivered int64 `json:"tokens_delivered,omitempty"`
@@ -83,6 +86,7 @@ func WriteJSON(path string, rows []Row) error {
 			Mode:            r.Mode,
 			ElapsedNS:       r.Elapsed.Nanoseconds(),
 			BufferBytes:     r.Buffer,
+			IndexBytes:      r.Index,
 			OutputBytes:     r.Output,
 			TokensDelivered: r.Tokens,
 			P50NS:           r.P50.Nanoseconds(),

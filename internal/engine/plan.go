@@ -8,6 +8,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -36,17 +37,13 @@ type Plan struct {
 	prune     *sax.PruneNode
 	sigKey    string
 	predicted int64
-
-	// numOperands is the number of compiled comparison operands; it sizes
-	// the engine's per-operand value memo.
-	numOperands int
 }
 
 // Schema returns the schema the plan was compiled against.
 func (p *Plan) Schema() *dtd.Schema { return p.schema }
 
-// Describe renders the plan's scopes, buffer trees and watchers for
-// debugging and the fluxc tool.
+// Describe renders the plan's scopes, buffer trees, watchers and join
+// probes for debugging and the fluxc tool.
 func (p *Plan) Describe() string {
 	var b strings.Builder
 	describeScope(&b, p.root, 0)
@@ -201,9 +198,11 @@ type navOperand struct {
 	varName  string
 	path     []string
 	scale    float64
-	// idx is this operand's slot in the engine's per-operand memo
-	// (engine.opMemo); assigned sequentially at compile time.
-	idx int
+	// loop is the for-loop binding varName, nil for constants and for
+	// paths rooted at a scope variable. A loop-rooted operand reads its
+	// values from column col of that loop (see loopRun).
+	loop *execProg
+	col  int
 }
 
 // execProg is a compiled XQuery⁻ program run over buffers (an on-first
@@ -221,6 +220,8 @@ type execProg struct {
 	src     string
 	step    string
 	body    *execProg
+	cols    []*navOperand // one operand per distinct column (see loopRun)
+	probe   *probeSpec    // nil: the loop runs its body for every kid
 	// if
 	cond *condSpec
 	then *execProg
@@ -260,12 +261,17 @@ type compileCtx struct {
 	// element, curPast the on-first handler's resolved past set.
 	curOn   string
 	curPast []string
+	// curLaterOns names the elements with an on-handler after the on-first
+	// handler being compiled: the runtime fires the on-first handler at
+	// the start of such an element, so that its output precedes the
+	// on-handler's.
+	curLaterOns []string
 	// conds collects, per scope variable, the canonical watcher set.
 	simpleHost *simpleSpec // when compiling inside a simple handler
 	simpleVar  string
-	// nOperands numbers the navOperands compiled so far; the final count
-	// sizes the engine's per-operand memo (Plan.numOperands).
-	nOperands int
+	// loops is the chain of for-loops enclosing the program being
+	// compiled, outermost first.
+	loops []*execProg
 }
 
 // checkPathAvailable verifies that data denoted by a path rooted at a
@@ -339,6 +345,10 @@ func (ctx *compileCtx) checkPathAvailable(v string, path []string, needComplete 
 	// own-scope paths as well.)
 	step := path[k]
 	y := ctx.stack[cur]
+	if (needComplete || k < len(path)-1) && slices.Contains(ctx.curLaterOns, step) {
+		return reject(y, step, fmt.Sprintf(
+			"the handler precedes the on-handler for %s, so it fires when a %s starts, before its content is read", step, step))
+	}
 	if k == len(path)-1 && !needComplete && ctx.curOn != "" && step == ctx.curOn {
 		// A pure existence test matched by the current on-element itself:
 		// its start tag set the flag before the handler fired, and future
@@ -382,8 +392,6 @@ func Compile(schema *dtd.Schema, f core.Flux) (*Plan, error) {
 	if err := ctx.buildBufferTrees(root); err != nil {
 		return nil, err
 	}
-	pruneScopes(root)
-	plan.numOperands = ctx.nOperands
 	plan.buildSignature()
 	return plan, nil
 }
@@ -454,17 +462,23 @@ func (ctx *compileCtx) compileScope(ps *core.PS, elem string) (*scopeSpec, error
 	ctx.stack = append(ctx.stack, s)
 	defer func() { ctx.stack = ctx.stack[:len(ctx.stack)-1] }()
 
-	for _, h := range ps.Handlers {
+	for hi, h := range ps.Handlers {
 		switch h := h.(type) {
 		case *core.OnFirst:
 			past := h.Past
 			if h.Star {
 				past = prod.Auto.Symbols()
 			}
-			savedOn, savedPast := ctx.curOn, ctx.curPast
-			ctx.curOn, ctx.curPast = "", past
+			var laterOns []string
+			for _, later := range ps.Handlers[hi+1:] {
+				if on, ok := later.(*core.On); ok {
+					laterOns = append(laterOns, on.Name)
+				}
+			}
+			savedOn, savedPast, savedLater := ctx.curOn, ctx.curPast, ctx.curLaterOns
+			ctx.curOn, ctx.curPast, ctx.curLaterOns = "", past, laterOns
 			prog, err := ctx.compileExec(h.Body)
-			ctx.curOn, ctx.curPast = savedOn, savedPast
+			ctx.curOn, ctx.curPast, ctx.curLaterOns = savedOn, savedPast, savedLater
 			if err != nil {
 				return nil, err
 			}
@@ -514,12 +528,12 @@ func (ctx *compileCtx) compileSimple(e xq.Expr, childVar, childElem string) (*si
 	sp := &simpleSpec{}
 	ctx.class[childVar] = vChild
 	prevHost, prevVar := ctx.simpleHost, ctx.simpleVar
-	prevOn, prevPast := ctx.curOn, ctx.curPast
+	prevOn, prevPast, prevLater := ctx.curOn, ctx.curPast, ctx.curLaterOns
 	ctx.simpleHost, ctx.simpleVar = sp, childVar
-	ctx.curOn, ctx.curPast = childElem, nil
+	ctx.curOn, ctx.curPast, ctx.curLaterOns = childElem, nil, nil
 	defer func() {
 		ctx.simpleHost, ctx.simpleVar = prevHost, prevVar
-		ctx.curOn, ctx.curPast = prevOn, prevPast
+		ctx.curOn, ctx.curPast, ctx.curLaterOns = prevOn, prevPast, prevLater
 		delete(ctx.class, childVar)
 	}()
 
@@ -597,13 +611,20 @@ func (ctx *compileCtx) compileExec(e xq.Expr) (*execProg, error) {
 		if err := ctx.checkPathAvailable(e.Src, e.Path, true); err != nil {
 			return nil, err
 		}
+		p := &execProg{kind: eFor, loopVar: e.Var, src: e.Src, step: e.Path[0]}
 		ctx.class[e.Var] = vExec
+		ctx.loops = append(ctx.loops, p)
 		body, err := ctx.compileExec(e.Body)
+		if err == nil {
+			p.body = body
+			p.probe = ctx.findProbe(p)
+		}
+		ctx.loops = ctx.loops[:len(ctx.loops)-1]
 		delete(ctx.class, e.Var)
 		if err != nil {
 			return nil, err
 		}
-		return &execProg{kind: eFor, loopVar: e.Var, src: e.Src, step: e.Path[0], body: body}, nil
+		return p, nil
 	case *xq.If:
 		c, err := ctx.compileCond(e.Cond)
 		if err != nil {
@@ -699,16 +720,9 @@ func (ctx *compileCtx) compileExistsAtom(c *xq.Exists) (*atomSpec, error) {
 		return &atomSpec{flag: ref}, nil
 	}
 	return &atomSpec{
-		exists: ctx.newNavOperand(&navOperand{varName: c.Var, path: c.Path}),
+		exists: &navOperand{varName: c.Var, path: c.Path},
 		neg:    c.Neg,
 	}, nil
-}
-
-// newNavOperand assigns the operand its per-engine memo slot.
-func (ctx *compileCtx) newNavOperand(o *navOperand) *navOperand {
-	o.idx = ctx.nOperands
-	ctx.nOperands++
-	return o
 }
 
 func (ctx *compileCtx) compileCmpAtom(c *xq.Cmp) (*atomSpec, error) {
@@ -756,7 +770,7 @@ func (ctx *compileCtx) navOperand(o xq.Operand) (*navOperand, error) {
 	if o.Kind == xq.ConstOperand {
 		op := &navOperand{isConst: true, constVal: o.Const}
 		op.constCmp, _ = makeCmpVal(o.Const, 0)
-		return ctx.newNavOperand(op), nil
+		return op, nil
 	}
 	cl, ok := ctx.class[o.Var]
 	if !ok {
@@ -768,7 +782,11 @@ func (ctx *compileCtx) navOperand(o xq.Operand) (*navOperand, error) {
 	if err := ctx.checkPathAvailable(o.Var, o.Path, true); err != nil {
 		return nil, err
 	}
-	return ctx.newNavOperand(&navOperand{varName: o.Var, path: o.Path, scale: o.Scale}), nil
+	op := &navOperand{varName: o.Var, path: o.Path, scale: o.Scale}
+	if cl == vExec {
+		ctx.bindColumn(op)
+	}
+	return op, nil
 }
 
 // addWatcher registers a flag watcher on a stream variable, deduplicating
@@ -833,6 +851,11 @@ func (ctx *compileCtx) walkBodies(s *scopeSpec) error {
 				}
 			}
 			if h.simple != nil {
+				if c := h.simple.copyCond; c != nil {
+					if err := ctx.piCond(c, map[string]*bufTreeNode{}); err != nil {
+						return err
+					}
+				}
 				for _, p := range h.simple.prefix {
 					if err := ctx.piProg(p, map[string]*bufTreeNode{}); err != nil {
 						return err
@@ -852,15 +875,7 @@ func (ctx *compileCtx) walkBodies(s *scopeSpec) error {
 // piProg implements Π over a compiled program. local maps exec variables
 // to their buffer-tree nodes; scope variables resolve to scope tree roots.
 func (ctx *compileCtx) piProg(p *execProg, local map[string]*bufTreeNode) error {
-	resolve := func(v string) (*bufTreeNode, bool) {
-		if n, ok := local[v]; ok {
-			return n, true
-		}
-		if s, ok := ctx.scopes[v]; ok {
-			return s.bufTree, true
-		}
-		return nil, false
-	}
+	resolve := func(v string) (*bufTreeNode, bool) { return ctx.bufTreeOf(v, local) }
 	switch p.kind {
 	case eSeq:
 		for _, it := range p.items {
@@ -888,7 +903,7 @@ func (ctx *compileCtx) piProg(p *execProg, local map[string]*bufTreeNode) error 
 			return err
 		}
 	case eIf:
-		if err := ctx.piCond(p.cond, local, resolve); err != nil {
+		if err := ctx.piCond(p.cond, local); err != nil {
 			return err
 		}
 		if err := ctx.piProg(p.then, local); err != nil {
@@ -898,16 +913,28 @@ func (ctx *compileCtx) piProg(p *execProg, local map[string]*bufTreeNode) error 
 	return nil
 }
 
-func (ctx *compileCtx) piCond(c *condSpec, local map[string]*bufTreeNode, resolve func(string) (*bufTreeNode, bool)) error {
+// bufTreeOf resolves a variable to its buffer-tree node: exec variables
+// through local, scope variables to their scope's tree root.
+func (ctx *compileCtx) bufTreeOf(v string, local map[string]*bufTreeNode) (*bufTreeNode, bool) {
+	if n, ok := local[v]; ok {
+		return n, true
+	}
+	if s, ok := ctx.scopes[v]; ok {
+		return s.bufTree, true
+	}
+	return nil, false
+}
+
+func (ctx *compileCtx) piCond(c *condSpec, local map[string]*bufTreeNode) error {
 	switch c.kind {
 	case cTrue:
 	case cAnd, cOr:
-		if err := ctx.piCond(c.l, local, resolve); err != nil {
+		if err := ctx.piCond(c.l, local); err != nil {
 			return err
 		}
-		return ctx.piCond(c.r, local, resolve)
+		return ctx.piCond(c.r, local)
 	case cNot:
-		return ctx.piCond(c.x, local, resolve)
+		return ctx.piCond(c.x, local)
 	case cAtom:
 		a := c.atom
 		if a.flag != nil {
@@ -917,7 +944,7 @@ func (ctx *compileCtx) piCond(c *condSpec, local map[string]*bufTreeNode, resolv
 			if o == nil || o.isConst {
 				return nil
 			}
-			n, ok := resolve(o.varName)
+			n, ok := ctx.bufTreeOf(o.varName, local)
 			if !ok {
 				return &CompileError{Msg: "condition on unbound variable " + o.varName}
 			}
@@ -938,16 +965,6 @@ func (ctx *compileCtx) piCond(c *condSpec, local map[string]*bufTreeNode, resolv
 	return nil
 }
 
-// pruneScopes drops empty onByName maps etc. (currently a no-op hook kept
-// for symmetry; pruning of buffer trees happens in buildBufferTrees).
-func pruneScopes(s *scopeSpec) {
-	for _, h := range s.handlers {
-		if h.child != nil {
-			pruneScopes(h.child)
-		}
-	}
-}
-
 // --- Plan description ---------------------------------------------------
 
 func describeScope(b *strings.Builder, s *scopeSpec, depth int) {
@@ -964,8 +981,17 @@ func describeScope(b *strings.Builder, s *scopeSpec, depth int) {
 		switch h.kind {
 		case hOnFirst:
 			fmt.Fprintf(b, "%s  on-first past(%s)\n", pad, strings.Join(h.past, ","))
+			describeProbes(b, h.body, pad+"    ")
 		case hOn:
 			fmt.Fprintf(b, "%s  on %s as %s%s\n", pad, h.name, h.childV, describeSimple(h.simple))
+			if sp := h.simple; sp != nil {
+				for _, p := range sp.prefix {
+					describeProbes(b, p, pad+"    ")
+				}
+				for _, p := range sp.suffix {
+					describeProbes(b, p, pad+"    ")
+				}
+			}
 			if h.child != nil {
 				describeScope(b, h.child, depth+2)
 			}

@@ -23,6 +23,11 @@ type Stats struct {
 	OutputBytes int64
 	// Tokens is the number of SAX events processed.
 	Tokens int64
+	// IndexBytes is the peak nominal size of the join probe indexes held
+	// at once (hash entries and sorted arrays, see probeIndex). It is
+	// reported apart from PeakBufferBytes, which counts query data only,
+	// so the Figure 4 buffer metric stays comparable to the paper.
+	IndexBytes int64
 }
 
 // RunError reports a runtime failure (invalid input or an engine
@@ -174,38 +179,29 @@ type engine struct {
 	// Only one condition evaluates at a time (exec programs never nest
 	// through the event loop), so a single set per engine suffices.
 	selScratch []*bufNode
-	constRHS   [1]cmpVal
+	constVals  [1]cmpVal
 
-	// Per-event cache of materialized comparison-operand values (see
-	// operandValues). Buffers only mutate between incoming events, so
-	// entries are valid for one event: navValsGen records the e.tokens
-	// value the entries belong to, and a lookup under a different token
-	// count clears the cache instead of trusting stale roots. Values
-	// live in cmpArena so a join burst costs one growing allocation, not
-	// one slice per operand/root pair.
-	navVals    map[navValsKey][]cmpVal
-	navValsGen int64
-	cmpArena   []cmpVal
+	nodeBlock []bufNode // chunked slab for captured-subtree nodes (arena.go)
+	textBlock []byte    // chunked slab for captured text strings (arena.go)
 
-	// Per-operand one-entry memo in front of navVals, indexed by
-	// navOperand.idx: a join's loop-invariant side resolves to the same
-	// root on every inner iteration, so it hits two pointer compares here
-	// instead of a hashed map lookup per pair. An entry evicted within
-	// one generation spills to navVals (the cycling-roots join pattern);
-	// opMemoInMap avoids re-spilling entries the map already holds.
-	// Rolled with navValsGen.
-	opMemoRoot  []*bufNode
-	nodeBlock   []bufNode // chunked slab for captured-subtree nodes (arena.go)
-	textBlock   []byte    // chunked slab for captured text strings (arena.go)
-	opMemoVals  [][]cmpVal
-	opMemoInMap []bool
-}
-
-// navValsKey identifies one materialized operand value list: the
-// compiled operand and the buffer root it was resolved against.
-type navValsKey struct {
-	op   *navOperand
-	root *bufNode
+	// Join state for the current event generation (join.go): loop runs
+	// with their operand columns and probe indexes, keyed by loop and
+	// source node, and the values of scope-rooted operands. loopGen is
+	// the e.tokens value the state belongs to; runs[:usedRuns] are the
+	// runs handed out in it, the rest wait for reuse. Column values live
+	// in cmpArena, so a join burst costs one growing allocation, not one
+	// slice per kid. posStack holds the kid positions of running probed
+	// loops, matchSet is scratch for their union.
+	loops          map[loopKey]*loopRun
+	scopeCols      map[*navOperand]scopeCol
+	runs           []*loopRun
+	usedRuns       int
+	loopGen        int64
+	cmpArena       []cmpVal
+	posStack       []int32
+	matchSet       []uint64
+	indexBytes     int64
+	peakIndexBytes int64
 }
 
 func (e *engine) account(owner *scopeRT, delta int64) {
@@ -686,6 +682,8 @@ func (a *valueAcc) finalize() {
 type varBind struct {
 	name string
 	node *bufNode
+	run  *loopRun // the binding loop's state, nil for a loop without columns
+	pos  int      // node's position in run.kids
 }
 
 type execEnv struct {
@@ -736,23 +734,7 @@ func (e *engine) runExec(p *execProg, env *execEnv) error {
 		}
 		return n.Serialize(e.w)
 	case eFor:
-		src, err := env.resolve(p.src)
-		if err != nil {
-			return err
-		}
-		for _, kid := range src.Kids {
-			if kid.Name != p.step {
-				continue
-			}
-			mark := len(env.vars)
-			env.vars = append(env.vars, varBind{name: p.loopVar, node: kid})
-			err := e.runExec(p.body, env)
-			env.vars = env.vars[:mark]
-			if err != nil {
-				return err
-			}
-		}
-		return nil
+		return e.runLoop(p, env)
 	case eIf:
 		ok, err := e.evalCond(p.cond, env)
 		if err != nil {
@@ -824,25 +806,15 @@ func (e *engine) evalAtom(a *atomSpec, env *execEnv) (bool, error) {
 		return found != a.neg, nil
 	}
 	// General comparisons are existential: the atom holds if any lhs/rhs
-	// value pair satisfies the operator. Both sides are materialized
-	// through the per-event operand cache (see operandValues): in a join
-	// burst each distinct (operand, root) pair is navigated and parsed
-	// once, so a pair comparison allocates nothing and never re-parses.
+	// value pair satisfies the operator. Loop-rooted operands read their
+	// loop's column (see operandValues), so in a join burst each kid is
+	// navigated and parsed once and a pair comparison allocates nothing.
 	if a.lhs.isConst && a.rhs.isConst {
 		return dom.CompareValues(a.lhs.constVal, a.op, a.rhs.constVal), nil
 	}
 	rs, err := e.operandValues(a.rhs, env)
 	if err != nil {
 		return false, err
-	}
-	if a.lhs.isConst {
-		l := a.lhs.constCmp
-		for i := range rs {
-			if compareVals(&l, a.op, &rs[i]) {
-				return true, nil
-			}
-		}
-		return false, nil
 	}
 	if len(rs) == 0 {
 		return false, nil
@@ -921,68 +893,29 @@ func (e *engine) navNodes(o *navOperand, env *execEnv) ([]*bufNode, error) {
 	return n.Select(o.path, out), nil
 }
 
-// rhsValues materializes a comparison's right-hand value sequence. The
-// results are cached per (operand, resolved root) for the duration of
-// the current event: a nested-loop join re-evaluates the same operands
-// against the same buffered roots — $p/id against every auction, and
-// every auction's $t/buyer against each person — and buffers only mutate
-// between incoming events, so within one evaluation burst each distinct
-// pair is navigated and parsed exactly once. The returned slice is owned
-// by the engine and valid until the next event.
+// operandValues returns a comparison operand's value sequence. A
+// loop-rooted operand reads the column entry of its loop's current kid.
+// A scope-rooted one is a column with a single entry: navigated once
+// per event generation and scope instance. The slice is valid until the
+// next event.
 func (e *engine) operandValues(o *navOperand, env *execEnv) ([]cmpVal, error) {
 	if o.isConst {
-		e.constRHS[0] = o.constCmp
-		return e.constRHS[:1], nil
+		e.constVals[0] = o.constCmp
+		return e.constVals[:1], nil
+	}
+	if o.loop != nil {
+		for i := len(env.vars) - 1; i >= 0; i-- {
+			if b := &env.vars[i]; b.name == o.varName {
+				return b.run.cols[o.col][b.pos], nil
+			}
+		}
+		return nil, &RunError{Msg: "unbound variable " + o.varName}
 	}
 	root, err := env.resolve(o.varName)
 	if err != nil {
 		return nil, err
 	}
-	if e.navValsGen != e.tokens {
-		if len(e.navVals) > 0 {
-			clear(e.navVals)
-		}
-		e.cmpArena = e.cmpArena[:0]
-		clear(e.opMemoRoot)
-		e.navValsGen = e.tokens
-	}
-	if n := e.plan.numOperands; len(e.opMemoRoot) < n {
-		e.opMemoRoot = make([]*bufNode, n)
-		e.opMemoVals = make([][]cmpVal, n)
-		e.opMemoInMap = make([]bool, n)
-	}
-	if e.opMemoRoot[o.idx] == root {
-		return e.opMemoVals[o.idx], nil
-	}
-	vals, fromMap := []cmpVal(nil), false
-	if len(e.navVals) > 0 {
-		vals, fromMap = e.navVals[navValsKey{op: o, root: root}]
-	}
-	if !fromMap {
-		nodes := root.Select(o.path, e.selScratch[:0])
-		start := len(e.cmpArena)
-		for _, n := range nodes {
-			v, vok := makeCmpVal(n.StringValue(), o.scale)
-			if !vok {
-				continue
-			}
-			e.cmpArena = append(e.cmpArena, v)
-		}
-		e.selScratch = nodes[:0]
-		vals = e.cmpArena[start:len(e.cmpArena):len(e.cmpArena)]
-	}
-	// Install in the one-entry memo. An entry evicted mid-generation
-	// belongs to a cycling-roots join loop: spill it to the map so the
-	// next pass finds it without re-navigating. (Entries evicted by a
-	// generation roll were already discarded with their buffers.)
-	if old := e.opMemoRoot[o.idx]; old != nil && !e.opMemoInMap[o.idx] {
-		if e.navVals == nil {
-			e.navVals = make(map[navValsKey][]cmpVal, 64)
-		}
-		e.navVals[navValsKey{op: o, root: old}] = e.opMemoVals[o.idx]
-	}
-	e.opMemoRoot[o.idx], e.opMemoVals[o.idx], e.opMemoInMap[o.idx] = root, vals, fromMap
-	return vals, nil
+	return e.scopeValues(o, root), nil
 }
 
 func allXMLSpaceBytes(s []byte) bool {

@@ -170,12 +170,19 @@ func (s *Session) close() Stats {
 		PeakBufferBytes: s.eng.peakBytes,
 		OutputBytes:     s.eng.w.BytesWritten(),
 		Tokens:          s.eng.tokens,
+		IndexBytes:      s.eng.peakIndexBytes,
 	}
 	s.eng.release()
 	s.eng = nil
 	s.done = true
 	return st
 }
+
+// Capacity a pooled engine keeps for join state between executions.
+const (
+	maxPooledLoops   = 4096
+	maxPooledCmpVals = 4096
+)
 
 // enginePool recycles engine shells — the frame stack, the instance map,
 // and the output writer's 64 KB buffer — across executions, so a resident
@@ -209,18 +216,32 @@ func (e *engine) release() {
 	clear(e.inst)
 	clear(e.selScratch[:cap(e.selScratch)])
 	e.selScratch = e.selScratch[:0]
-	e.constRHS[0] = cmpVal{}
-	if len(e.navVals) > 4096 {
-		e.navVals = nil // one huge join burst must not pin its table
+	e.constVals[0] = cmpVal{}
+	// A slab's unused tail pins the whole block, and with it the buffered
+	// nodes carved from the block's head.
+	e.nodeBlock = nil
+	// The join state references buffered nodes; one huge join burst must
+	// not pin its tables either.
+	if len(e.loops) > maxPooledLoops {
+		e.loops = nil
 	} else {
-		clear(e.navVals)
+		clear(e.loops)
 	}
-	e.navValsGen = -1
-	clear(e.cmpArena[:cap(e.cmpArena)])
-	e.cmpArena = e.cmpArena[:0]
-	clear(e.opMemoRoot)
-	clear(e.opMemoVals)
-	clear(e.opMemoInMap)
+	if len(e.scopeCols) > maxPooledLoops {
+		e.scopeCols = nil
+	} else {
+		clear(e.scopeCols)
+	}
+	e.runs, e.usedRuns = nil, 0
+	e.loopGen = -1
+	if cap(e.cmpArena) > maxPooledCmpVals {
+		e.cmpArena = nil
+	} else {
+		clear(e.cmpArena[:cap(e.cmpArena)])
+		e.cmpArena = e.cmpArena[:0]
+	}
+	e.posStack = e.posStack[:0]
+	e.indexBytes, e.peakIndexBytes = 0, 0
 	e.curBytes, e.peakBytes, e.tokens = 0, 0, 0
 	enginePool.Put(e)
 }

@@ -366,14 +366,23 @@ func (p *qparser) condUnary() (Cond, error) {
 		p.pos++
 		return &Exists{Var: v, Path: path, Neg: true}, nil
 	case p.peek() == '(':
+		start := p.pos
 		p.pos++
 		c, err := p.cond()
-		if err != nil {
-			return nil, err
+		if err == nil {
+			p.skipSpace()
+			if p.peek() != ')' {
+				err = p.errf("expected ')' in condition")
+			}
 		}
-		p.skipSpace()
-		if p.peek() != ')' {
-			return nil, p.errf("expected ')' in condition")
+		if err != nil {
+			// Not a parenthesized condition: perhaps a comparison whose
+			// left operand is parenthesized, as Print writes a scaled one.
+			p.pos = start
+			if cmp, cerr := p.comparison(); cerr == nil {
+				return cmp, nil
+			}
+			return nil, err
 		}
 		p.pos++
 		return c, nil

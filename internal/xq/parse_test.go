@@ -56,6 +56,8 @@ func TestParseConditions(t *testing.T) {
 		{`true and $x/a != 'q'`, `true and $x/a != 'q'`},
 		{`($x/a = 1 or $x/b = 2) and $x/c >= 3`, `($x/a = 1 or $x/b = 2) and $x/c >= 3`},
 		{`$x/a <= 7`, `$x/a <= 7`},
+		{`(-1 * $x/a) <= $y/b`, `(-1 * $x/a) <= $y/b`},
+		{`((0.5 * $x/a) = $y/b or $x/c = 1)`, `(0.5 * $x/a) = $y/b or $x/c = 1`},
 	}
 	for _, c := range cases {
 		cond, err := ParseCond(c.in)
@@ -96,6 +98,7 @@ func TestPrintParseRoundTrip(t *testing.T) {
 		`{ $ROOT/bib }`,
 		`hello world`,
 		`{ for $p in $ROOT/site/people/person where empty($p/person_income) return { $p } }`,
+		`{ for $o in $ROOT/site/open_auction where (2 * $o/initial) > $o/current return { $o } }`,
 	}
 	for _, in := range queries {
 		e1 := MustParse(in)
