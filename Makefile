@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet fmt-check lint-docs fuzz bench race-fault race-cpu clean
+.PHONY: build test race vet fmt-check lint-docs fuzz bench bench-build race-fault race-cpu clean
 
 build:
 	$(GO) build ./...
@@ -62,6 +62,14 @@ fuzz:
 bench:
 	$(GO) run ./cmd/fluxbench -sizes 1 -json BENCH_NEW.json
 	$(GO) test -run='^$$' -bench=. -benchtime=1x ./...
+
+# Benchmark build gate: fluxperf (the BENCHMARK.json harness) is a
+# module of its own, outside ./..., yet it calls the internal packages
+# directly, so an internal API change can break it without breaking
+# `make build`. Vet and build it in place; nothing under fluxperf/ is
+# written.
+bench-build:
+	cd fluxperf && $(GO) vet ./... && $(GO) build -o /dev/null ./...
 
 # Perf-trajectory gate: diff the fresh snapshot against the
 # highest-numbered checked-in BENCH_<n>.json and fail on >20% regression

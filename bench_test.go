@@ -315,17 +315,27 @@ func BenchmarkSelectiveFanout(b *testing.B) {
 // /site/people/person): the shape where the merged automaton's
 // one-traversal dispatch wins over per-group walks.
 func BenchmarkSharedPrefixFanout(b *testing.B) {
-	doc := benchDocument(b)
+	benchFanout(b, benchDocument(b), sharedPrefixQueries(b))
+}
+
+// sharedPrefixQueries prepares the 64 shared-prefix queries against one
+// parsed XMark schema, as flux.Catalog does for every document sharing a
+// DTD, so a shared scan validates the document once for all of them.
+func sharedPrefixQueries(b *testing.B) []*Query {
+	schema, err := dtd.Parse(xmark.DTD)
+	if err != nil {
+		b.Fatal(err)
+	}
 	texts := xmark.SharedPrefixQueries(64)
 	queries := make([]*Query, len(texts))
 	for i, qt := range texts {
-		q, err := Prepare(qt, xmark.DTD)
+		q, err := PrepareWithSchema(qt, schema)
 		if err != nil {
 			b.Fatalf("query %d: %v", i, err)
 		}
 		queries[i] = q
 	}
-	benchFanout(b, doc, queries)
+	return queries
 }
 
 // BenchmarkParallelFanout is the shared-prefix 64-query batch through
@@ -336,17 +346,7 @@ func BenchmarkSharedPrefixFanout(b *testing.B) {
 // (at 1 the parallel run falls back to sequential and the sub-benchmarks
 // coincide).
 func BenchmarkParallelFanout(b *testing.B) {
-	doc := benchDocument(b)
-	texts := xmark.SharedPrefixQueries(64)
-	queries := make([]*Query, len(texts))
-	for i, qt := range texts {
-		q, err := Prepare(qt, xmark.DTD)
-		if err != nil {
-			b.Fatalf("query %d: %v", i, err)
-		}
-		queries[i] = q
-	}
-	benchFanoutModes(b, doc, queries, []fanoutMode{
+	benchFanoutModes(b, benchDocument(b), sharedPrefixQueries(b), []fanoutMode{
 		{"sequential", mux.NewSelective},
 		{"parallel", func() *mux.Mux {
 			m := mux.NewSelective()
@@ -372,6 +372,7 @@ func benchFanout(b *testing.B, doc string, queries []*Query) {
 
 func benchFanoutModes(b *testing.B, doc string, queries []*Query, modes []fanoutMode) {
 	run := func(b *testing.B, newMux func() *mux.Mux) {
+		b.ReportAllocs()
 		b.SetBytes(int64(len(doc)))
 		var delivered int64
 		for i := 0; i < b.N; i++ {

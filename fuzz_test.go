@@ -282,9 +282,21 @@ func (g *queryGen) randJoin(vars []binding, depth int) xq.Expr {
 	return &xq.For{Var: outer.v, Src: b.v, Path: opath, Body: f}
 }
 
+// smallVocab draws a per-document vocabulary of n values from
+// joinTexts. With so few distinct values, joined elements repeat equal
+// values often, which is where a probe's strict and non-strict bounds
+// (< versus <=) part ways.
+func smallVocab(r *rand.Rand, n int) []string {
+	texts := slices.Clone(joinTexts)
+	r.Shuffle(len(texts), func(i, j int) { texts[i], texts[j] = texts[j], texts[i] })
+	return texts[:n]
+}
+
 func TestFuzzDifferential(t *testing.T) {
 	const queriesPerSchema = 120
-	const docsPerQuery = 3
+	// Per query: one document over the generator's default texts, one
+	// over joinTexts, and two over small vocabularies (smallVocab).
+	const docsPerQuery = 4
 	// minProbedLoops keeps the generator reaching the engine's join
 	// probes (index lines in the plan): path-vs-path atoms guarding
 	// every output of a loop.
@@ -309,8 +321,11 @@ func TestFuzzDifferential(t *testing.T) {
 			probed += strings.Count(q.PlanText(), " index ")
 			for d := 0; d < docsPerQuery; d++ {
 				opt := dtd.GenOptions{}
-				if d > 0 {
+				switch {
+				case d == 1:
 					opt.Texts = joinTexts
+				case d > 1:
+					opt.Texts = smallVocab(rand.New(rand.NewSource(int64(seed*31+d))), d)
 				}
 				doc := dtd.RandomDocument(schema, int64(seed*31+d), opt)
 				outF, _, err := q.RunString(doc, Options{Engine: FluX})

@@ -41,7 +41,20 @@ type Schema struct {
 	elems map[string]*Production
 	doc   *Production // synthetic production for DocumentVar
 	order []string    // declaration order, for deterministic printing
+
+	// The symbol table, built once at parse time: every element name
+	// the DTD mentions — declared, or referenced by a content model —
+	// gets a dense ID in [0, len(prods)). prods is indexed by ID (nil for
+	// a referenced but undeclared name), and every production's automaton
+	// is bound to the same ID space (rex.Automaton.BindSymbols).
+	syms  map[string]int32
+	prods []*Production
 }
+
+// NoSym is the symbol ID of element names the DTD never mentions. No
+// content model allows such an element, so a step on NoSym always fails
+// with the same error a step by name does.
+const NoSym int32 = -1
 
 // ParseError reports a malformed DTD.
 type ParseError struct {
@@ -139,7 +152,68 @@ func parse(text, root string) (*Schema, error) {
 	s.Root = root
 	docModel := rex.Sym{Name: root}
 	s.doc = &Production{Name: DocumentVar, Model: docModel, Auto: rex.MustBuild(docModel)}
+	s.buildSymbols()
 	return s, nil
+}
+
+// buildSymbols assigns the dense symbol IDs — declared elements in
+// declaration order, then the names only content models reference, in
+// sorted order — and binds every automaton to them.
+func (s *Schema) buildSymbols() {
+	s.syms = make(map[string]int32, len(s.order))
+	names := make([]string, 0, len(s.order))
+	add := func(name string) {
+		if _, ok := s.syms[name]; !ok {
+			s.syms[name] = int32(len(names))
+			names = append(names, name)
+		}
+	}
+	for _, name := range s.order {
+		add(name)
+	}
+	var refs []string
+	for _, name := range s.order {
+		for _, sym := range s.elems[name].Auto.Symbols() {
+			if _, ok := s.syms[sym]; !ok {
+				refs = append(refs, sym)
+			}
+		}
+	}
+	sort.Strings(refs)
+	for _, name := range refs {
+		add(name)
+	}
+	s.prods = make([]*Production, len(names))
+	for i, name := range names {
+		s.prods[i] = s.elems[name]
+	}
+	id := s.Sym
+	for _, p := range s.prods[:len(s.order)] { // the declared elements
+		p.Auto.BindSymbols(id, len(names))
+	}
+	s.doc.Auto.BindSymbols(id, len(names))
+}
+
+// Sym returns the dense symbol ID of an element name, NoSym for names
+// the DTD never mentions. It implements sax.SymbolTable, so a scan can
+// resolve each element name once, when the scanner interns it.
+func (s *Schema) Sym(name string) int32 {
+	if id, ok := s.syms[name]; ok {
+		return id
+	}
+	return NoSym
+}
+
+// NumSyms returns the size of the symbol ID space.
+func (s *Schema) NumSyms() int { return len(s.prods) }
+
+// ProductionSym returns the production of the element with the given
+// symbol ID, nil for NoSym and for referenced but undeclared names.
+func (s *Schema) ProductionSym(sym int32) *Production {
+	if uint32(sym) >= uint32(len(s.prods)) {
+		return nil
+	}
+	return s.prods[sym]
 }
 
 func head(s string, n int) string {
@@ -214,7 +288,7 @@ func (s *Schema) addElementDecl(body string, line int) error {
 func (s *Schema) inferRoot() (string, error) {
 	referenced := make(map[string]bool)
 	for _, p := range s.elems {
-		for _, sym := range rex.Symbols(p.Model) {
+		for _, sym := range p.Auto.Symbols() {
 			if sym != p.Name {
 				referenced[sym] = true
 			}

@@ -176,3 +176,48 @@ func TestSchemaString(t *testing.T) {
 		t.Error("reparsed schema lost order constraint")
 	}
 }
+
+// TestSymbolTable: declared elements get dense IDs in declaration
+// order, names only a content model mentions follow, unknown names map
+// to NoSym, and stepping any automaton by ID agrees with stepping it by
+// name in every state.
+func TestSymbolTable(t *testing.T) {
+	s := MustParse(`
+<!ELEMENT r (a, (b | ghost)*)>
+<!ELEMENT a (#PCDATA)>
+<!ELEMENT b (a?)>
+`)
+	var _ sax.SymbolTable = s
+	for i, name := range []string{"r", "a", "b", "ghost"} {
+		if got := s.Sym(name); got != int32(i) {
+			t.Errorf("Sym(%q) = %d, want %d", name, got, i)
+		}
+	}
+	if s.NumSyms() != 4 {
+		t.Errorf("NumSyms = %d, want 4", s.NumSyms())
+	}
+	if got := s.Sym("nowhere"); got != NoSym {
+		t.Errorf("Sym(nowhere) = %d, want NoSym", got)
+	}
+	if p := s.ProductionSym(s.Sym("b")); p == nil || p.Name != "b" {
+		t.Errorf("ProductionSym(b) = %v", p)
+	}
+	for _, sym := range []int32{s.Sym("ghost"), NoSym, 99} {
+		if p := s.ProductionSym(sym); p != nil {
+			t.Errorf("ProductionSym(%d) = %v, want nil", sym, p)
+		}
+	}
+	names := append(s.Elements(), DocumentVar)
+	for _, elem := range names {
+		p, _ := s.Production(elem)
+		for q := 0; q < p.Auto.NumStates(); q++ {
+			for _, name := range []string{"r", "a", "b", "ghost", "nowhere"} {
+				wantNext, wantOK := p.Auto.Step(q, name)
+				next, ok := p.Auto.StepSym(q, s.Sym(name))
+				if next != wantNext || ok != wantOK {
+					t.Errorf("%s state %d on %s: StepSym (%d,%v), Step (%d,%v)", elem, q, name, next, ok, wantNext, wantOK)
+				}
+			}
+		}
+	}
+}

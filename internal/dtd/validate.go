@@ -45,14 +45,15 @@ func (v *Validator) errf(format string, args ...any) error {
 // StartElement implements sax.Handler.
 func (v *Validator) StartElement(name string) error {
 	top := &v.stack[len(v.stack)-1]
-	next, ok := top.prod.Auto.Step(top.state, name)
+	sym := v.schema.Sym(name)
+	next, ok := top.prod.Auto.StepSym(top.state, sym)
 	if !ok {
 		return v.errf("element <%s> not allowed at this point inside <%s> (content model %s)",
 			name, top.prod.Name, top.prod.Model)
 	}
 	top.state = next
-	child, ok := v.schema.Production(name)
-	if !ok {
+	child := v.schema.ProductionSym(sym)
+	if child == nil {
 		return v.errf("element <%s> is not declared", name)
 	}
 	v.stack = append(v.stack, valFrame{prod: child, state: child.Auto.Start()})

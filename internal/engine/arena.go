@@ -11,6 +11,10 @@ const (
 
 	// textBlockSize is the chunk size of the captured-text slab.
 	textBlockSize = 4 << 10
+
+	// maxPooledInstances bounds the recycled scope instances and
+	// simple-handler firings a pooled engine keeps between executions.
+	maxPooledInstances = 256
 )
 
 // newNode hands out one zeroed bufNode from the engine's chunked slab.
@@ -48,4 +52,64 @@ func (e *engine) carveText(data []byte) string {
 	off := len(e.textBlock)
 	e.textBlock = append(e.textBlock, data...)
 	return unsafe.String(&e.textBlock[off], n)
+}
+
+// Scope instances and simple-handler firings are recycled through
+// per-engine free lists. Their lifetimes nest with the elements that
+// open them: once a scope closes (closeScope) or a simple handler's
+// element ends, nothing references the instance any more — child
+// frames, watcher positions, accumulators and deferred handlers all
+// ended first. So a scan allocates only as many instances as it has
+// open at once, and a pooled engine none at all.
+
+// allocScopeRT returns a zeroed scope instance with nw watcher flags and
+// nh fired bits, reusing a recycled instance and its flag storage.
+func (e *engine) allocScopeRT(nw, nh int) *scopeRT {
+	var rt *scopeRT
+	if n := len(e.freeScopes); n > 0 {
+		rt = e.freeScopes[n-1]
+		e.freeScopes = e.freeScopes[:n-1]
+	} else {
+		rt = &scopeRT{}
+	}
+	rt.flags = zeroBools(rt.flags, nw)
+	rt.fired = zeroBools(rt.fired, nh)
+	return rt
+}
+
+// freeScopeRT recycles a closed scope instance, keeping only its flag
+// storage, so the free list pins no buffered data.
+func (e *engine) freeScopeRT(rt *scopeRT) {
+	*rt = scopeRT{flags: rt.flags[:0], fired: rt.fired[:0]}
+	e.freeScopes = append(e.freeScopes, rt)
+}
+
+// allocSimpleRT returns a zeroed simple-handler firing with nw watcher
+// flags.
+func (e *engine) allocSimpleRT(nw int) *simpleRT {
+	var rt *simpleRT
+	if n := len(e.freeSimples); n > 0 {
+		rt = e.freeSimples[n-1]
+		e.freeSimples = e.freeSimples[:n-1]
+	} else {
+		rt = &simpleRT{}
+	}
+	rt.flags = zeroBools(rt.flags, nw)
+	return rt
+}
+
+// freeSimpleRT recycles a finished simple-handler firing.
+func (e *engine) freeSimpleRT(rt *simpleRT) {
+	*rt = simpleRT{flags: rt.flags[:0]}
+	e.freeSimples = append(e.freeSimples, rt)
+}
+
+// zeroBools returns n false values, in b's storage when it fits.
+func zeroBools(b []bool, n int) []bool {
+	if cap(b) < n {
+		return make([]bool, n)
+	}
+	b = b[:n]
+	clear(b)
+	return b
 }

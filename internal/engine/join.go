@@ -153,6 +153,37 @@ func (o *navOperand) same(p *navOperand) bool {
 	return o.varName == p.varName && o.loop == p.loop && o.scale == p.scale && slices.Equal(o.path, p.path)
 }
 
+// markImplied marks the comparison atoms under prog that state the
+// probe comparison of loop p, in either orientation. The index matches
+// exactly the kids for which such an atom holds (probeIndex), so for a
+// kid the index served the engine takes the atom as true instead of
+// evaluating it again — and the index's exactness shows in the output.
+func (pr *probeSpec) markImplied(prog *execProg, p *execProg) {
+	if prog == nil {
+		return
+	}
+	for _, it := range prog.items {
+		pr.markImplied(it, p)
+	}
+	pr.markImplied(prog.body, p)
+	pr.markImplied(prog.then, p)
+	pr.markCond(prog.cond, p)
+}
+
+func (pr *probeSpec) markCond(c *condSpec, p *execProg) {
+	if c == nil {
+		return
+	}
+	pr.markCond(c.l, p)
+	pr.markCond(c.r, p)
+	pr.markCond(c.x, p)
+	if a := c.atom; a != nil && a.flag == nil && a.exists == nil &&
+		(a.op == pr.op && a.lhs.same(pr.kid) && a.rhs.same(pr.probe) ||
+			mirrorOp(a.op) == pr.op && a.rhs.same(pr.kid) && a.lhs.same(pr.probe)) {
+		a.implied = p
+	}
+}
+
 // mirrorOp returns op' such that a op b ⇔ b op' a.
 func mirrorOp(op xq.RelOp) xq.RelOp {
 	switch op {
@@ -278,7 +309,7 @@ func (e *engine) appendValues(dst []cmpVal, root *bufNode, o *navOperand) []cmpV
 // loop starting over a source for the second time in a generation runs
 // its body only for the kids its index matches.
 func (e *engine) runLoop(p *execProg, env *execEnv) error {
-	src, err := env.resolve(p.src)
+	src, err := env.resolve(p.src, p.slot)
 	if err != nil {
 		return err
 	}
@@ -322,7 +353,7 @@ func (e *engine) runLoop(p *execProg, env *execEnv) error {
 	defer func() { e.posStack = e.posStack[:start] }()
 	for k := start; k < end; k++ {
 		i := int(e.posStack[k])
-		if err := e.runBody(p, env, varBind{name: p.loopVar, node: run.kids[i], run: run, pos: i}); err != nil {
+		if err := e.runBody(p, env, varBind{name: p.loopVar, node: run.kids[i], run: run, pos: i, probed: p}); err != nil {
 			return err
 		}
 	}

@@ -31,6 +31,7 @@ func (e *CompileError) Error() string { return "engine: compile: " + e.Msg }
 type Plan struct {
 	schema *dtd.Schema
 	root   *scopeSpec
+	nslots int // scope-instance slots (see compileCtx.slot)
 
 	// Static routing and cost analysis, built once at Compile time.
 	sig       *SigNode
@@ -54,12 +55,22 @@ func (p *Plan) Describe() string {
 type scopeSpec struct {
 	Var      string
 	Elem     string // element the variable binds to (or dtd.DocumentVar)
+	slot     int    // instance slot of Var (see compileCtx.slot)
 	prod     *dtd.Production
 	handlers []*handlerSpec
-	onByName map[string]int // element name -> handler index (single on per name)
+	onBySym  []int32 // element symbol -> on-handler index, -1 for none
 
 	bufTree  *bufTreeNode   // nil when the scope buffers nothing
 	watchers []*watcherSpec // flag conditions evaluated on the fly
+}
+
+// onHandler returns the index of the scope's on-handler for the element
+// with the given symbol, -1 when the scope has none.
+func (s *scopeSpec) onHandler(sym int32) int {
+	if uint32(sym) < uint32(len(s.onBySym)) {
+		return int(s.onBySym[sym])
+	}
+	return -1
 }
 
 type handlerKind int
@@ -98,8 +109,34 @@ type simpleSpec struct {
 
 // bufTreeNode is a node of a pruned buffer tree T^p($r) (Section 5).
 type bufTreeNode struct {
-	kids map[string]*bufTreeNode
-	mark bool // keep the full subtree (topmost marked node)
+	kids  map[string]*bufTreeNode
+	bySym []*bufTreeNode // kids indexed by element symbol (see index)
+	mark  bool           // keep the full subtree (topmost marked node)
+}
+
+// index fills bySym throughout the tree, so the engine finds a child
+// position by symbol with one slice lookup. Names the schema does not
+// know can never be matched and get no entry.
+func (n *bufTreeNode) index(schema *dtd.Schema) {
+	if len(n.kids) == 0 {
+		return
+	}
+	n.bySym = make([]*bufTreeNode, schema.NumSyms())
+	for name, k := range n.kids {
+		if sym := schema.Sym(name); sym != dtd.NoSym {
+			n.bySym[sym] = k
+		}
+		k.index(schema)
+	}
+}
+
+// kid returns the child position for the element with the given
+// symbol, nil when the tree has none.
+func (n *bufTreeNode) kid(sym int32) *bufTreeNode {
+	if uint32(sym) < uint32(len(n.bySym)) {
+		return n.bySym[sym]
+	}
+	return nil
 }
 
 func newBufTreeNode() *bufTreeNode { return &bufTreeNode{kids: make(map[string]*bufTreeNode)} }
@@ -146,6 +183,7 @@ type watcherSpec struct {
 	key    string // canonical form, for dedup
 	kind   watcherKind
 	path   []string
+	syms   []int32 // path as element symbols
 	op     xq.RelOp
 	rhs    string  // constant operand
 	rhsCmp cmpVal  // rhs pre-parsed at compile time
@@ -182,10 +220,16 @@ type atomSpec struct {
 	rhs    *navOperand
 	exists *navOperand // exists/empty form
 	neg    bool
+
+	// implied is the probed loop whose join index decides this atom: it
+	// states the loop's probe comparison, so it holds for every kid the
+	// index serves (see markImplied).
+	implied *execProg
 }
 
 type flagRef struct {
 	scopeVar string // "" means the enclosing simple handler's child var
+	slot     int    // instance slot of scopeVar
 	idx      int
 	neg      bool // read as empty()
 }
@@ -196,6 +240,7 @@ type navOperand struct {
 	constCmp cmpVal // constVal pre-parsed at compile time
 	isConst  bool
 	varName  string
+	slot     int // instance slot of varName
 	path     []string
 	scale    float64
 	// loop is the for-loop binding varName, nil for constants and for
@@ -215,6 +260,7 @@ type execProg struct {
 	str string
 	// varOut
 	varName string
+	slot    int // instance slot of varName (varOut) or src (for)
 	// for
 	loopVar string
 	src     string
@@ -251,6 +297,7 @@ type compileCtx struct {
 	schema *dtd.Schema
 	scopes map[string]*scopeSpec // by variable
 	class  map[string]varClass
+	slots  map[string]int // variable name -> scope-instance slot
 	// stack is the scope chain from $ROOT to the scope being compiled;
 	// edges[i] is the on-handler element connecting stack[i] to
 	// stack[i+1]. Used by checkAvailable.
@@ -381,19 +428,36 @@ func Compile(schema *dtd.Schema, f core.Flux) (*Plan, error) {
 		schema: schema,
 		scopes: make(map[string]*scopeSpec),
 		class:  make(map[string]varClass),
+		slots:  make(map[string]int),
 	}
 	root, err := ctx.compileScope(ps, dtd.DocumentVar)
 	if err != nil {
 		return nil, err
 	}
-	plan := &Plan{schema: schema, root: root}
 	// Buffer trees need every scope known, so they are computed in a
 	// second pass over all on-first bodies.
 	if err := ctx.buildBufferTrees(root); err != nil {
 		return nil, err
 	}
+	plan := &Plan{schema: schema, root: root, nslots: len(ctx.slots)}
 	plan.buildSignature()
 	return plan, nil
+}
+
+// slot returns the scope-instance slot of variable name v. The runtime
+// keeps the innermost open instance of each scope variable in a slice
+// indexed by slot; a slot per distinct name keeps the name-keyed
+// semantics (a nested scope reusing a name shadows the outer instance
+// until it closes) without a map lookup per scope or per reference.
+// Names that never bind a scope get a slot too, which simply stays
+// empty.
+func (ctx *compileCtx) slot(v string) int {
+	n, ok := ctx.slots[v]
+	if !ok {
+		n = len(ctx.slots)
+		ctx.slots[v] = n
+	}
+	return n
 }
 
 // liftTopLevelSimple wraps a top-level simple expression (a legal FluX
@@ -452,11 +516,16 @@ func (ctx *compileCtx) compileScope(ps *core.PS, elem string) (*scopeSpec, error
 		return nil, &CompileError{Msg: fmt.Sprintf("no DTD production for element %q (variable %s)", elem, ps.Var)}
 	}
 	s := &scopeSpec{
-		Var:      ps.Var,
-		Elem:     elem,
-		prod:     prod,
-		onByName: make(map[string]int),
+		Var:     ps.Var,
+		Elem:    elem,
+		slot:    ctx.slot(ps.Var),
+		prod:    prod,
+		onBySym: make([]int32, ctx.schema.NumSyms()),
 	}
+	for i := range s.onBySym {
+		s.onBySym[i] = -1
+	}
+	onNames := make(map[string]bool)
 	ctx.scopes[ps.Var] = s
 	ctx.class[ps.Var] = vScope
 	ctx.stack = append(ctx.stack, s)
@@ -489,7 +558,7 @@ func (ctx *compileCtx) compileScope(ps *core.PS, elem string) (*scopeSpec, error
 				body:      prog,
 			})
 		case *core.On:
-			if _, dup := s.onByName[h.Name]; dup {
+			if onNames[h.Name] {
 				return nil, &CompileError{Msg: fmt.Sprintf(
 					"scope %s has multiple on handlers for element %q; merge the loops (Section 7) or restructure the query", ps.Var, h.Name)}
 			}
@@ -512,7 +581,10 @@ func (ctx *compileCtx) compileScope(ps *core.PS, elem string) (*scopeSpec, error
 			default:
 				return nil, &CompileError{Msg: "unknown on-handler body type"}
 			}
-			s.onByName[h.Name] = len(s.handlers)
+			onNames[h.Name] = true
+			if sym := ctx.schema.Sym(h.Name); sym != dtd.NoSym {
+				s.onBySym[sym] = int32(len(s.handlers))
+			}
 			s.handlers = append(s.handlers, hs)
 		}
 	}
@@ -603,7 +675,7 @@ func (ctx *compileCtx) compileExec(e xq.Expr) (*execProg, error) {
 	case *xq.Str:
 		return &execProg{kind: eStr, str: e.S}, nil
 	case *xq.VarOut:
-		return &execProg{kind: eVarOut, varName: e.Var}, nil
+		return &execProg{kind: eVarOut, varName: e.Var, slot: ctx.slot(e.Var)}, nil
 	case *xq.For:
 		if len(e.Path) != 1 || e.Where != nil {
 			return nil, &CompileError{Msg: "for-loop not in normal form: " + xq.Print(e)}
@@ -611,13 +683,15 @@ func (ctx *compileCtx) compileExec(e xq.Expr) (*execProg, error) {
 		if err := ctx.checkPathAvailable(e.Src, e.Path, true); err != nil {
 			return nil, err
 		}
-		p := &execProg{kind: eFor, loopVar: e.Var, src: e.Src, step: e.Path[0]}
+		p := &execProg{kind: eFor, loopVar: e.Var, src: e.Src, slot: ctx.slot(e.Src), step: e.Path[0]}
 		ctx.class[e.Var] = vExec
 		ctx.loops = append(ctx.loops, p)
 		body, err := ctx.compileExec(e.Body)
 		if err == nil {
 			p.body = body
-			p.probe = ctx.findProbe(p)
+			if p.probe = ctx.findProbe(p); p.probe != nil {
+				p.probe.markImplied(p.body, p)
+			}
 		}
 		ctx.loops = ctx.loops[:len(ctx.loops)-1]
 		delete(ctx.class, e.Var)
@@ -720,7 +794,7 @@ func (ctx *compileCtx) compileExistsAtom(c *xq.Exists) (*atomSpec, error) {
 		return &atomSpec{flag: ref}, nil
 	}
 	return &atomSpec{
-		exists: &navOperand{varName: c.Var, path: c.Path},
+		exists: &navOperand{varName: c.Var, slot: ctx.slot(c.Var), path: c.Path},
 		neg:    c.Neg,
 	}, nil
 }
@@ -782,7 +856,7 @@ func (ctx *compileCtx) navOperand(o xq.Operand) (*navOperand, error) {
 	if err := ctx.checkPathAvailable(o.Var, o.Path, true); err != nil {
 		return nil, err
 	}
-	op := &navOperand{varName: o.Var, path: o.Path, scale: o.Scale}
+	op := &navOperand{varName: o.Var, slot: ctx.slot(o.Var), path: o.Path, scale: o.Scale}
 	if cl == vExec {
 		ctx.bindColumn(op)
 	}
@@ -795,6 +869,10 @@ func (ctx *compileCtx) navOperand(o xq.Operand) (*navOperand, error) {
 func (ctx *compileCtx) addWatcher(v string, w *watcherSpec) (*flagRef, error) {
 	w.key = fmt.Sprintf("%d|%s|%d|%s|%v|%v", w.kind, strings.Join(w.path, "/"), w.op, w.rhs, w.scale, w.flip)
 	w.rhsCmp, _ = makeCmpVal(w.rhs, 0)
+	w.syms = make([]int32, len(w.path))
+	for i, name := range w.path {
+		w.syms[i] = ctx.schema.Sym(name)
+	}
 	if ctx.class[v] == vChild {
 		if v != ctx.simpleVar || ctx.simpleHost == nil {
 			return nil, &CompileError{Msg: "condition on foreign simple-handler variable " + v}
@@ -810,11 +888,11 @@ func (ctx *compileCtx) addWatcher(v string, w *watcherSpec) (*flagRef, error) {
 	s := ctx.scopes[v]
 	for i, ex := range s.watchers {
 		if ex.key == w.key {
-			return &flagRef{scopeVar: v, idx: i}, nil
+			return &flagRef{scopeVar: v, slot: ctx.slot(v), idx: i}, nil
 		}
 	}
 	s.watchers = append(s.watchers, w)
-	return &flagRef{scopeVar: v, idx: len(s.watchers) - 1}, nil
+	return &flagRef{scopeVar: v, slot: ctx.slot(v), idx: len(s.watchers) - 1}, nil
 }
 
 // --- Buffer tree construction (Π of Section 5) -------------------------
@@ -832,6 +910,8 @@ func (ctx *compileCtx) buildBufferTrees(root *scopeSpec) error {
 		s.bufTree.prune()
 		if s.bufTree.empty() && !s.bufTree.mark {
 			s.bufTree = nil
+		} else {
+			s.bufTree.index(ctx.schema)
 		}
 	}
 	return nil

@@ -141,18 +141,14 @@ type frame struct {
 	prod  *dtd.Production
 	state int
 	name  string
-
-	// One-entry transition memo: the last (state, child name) step taken
-	// from this frame, with the resolved child production. Sibling runs of
-	// the same element name skip the automaton and schema map lookups.
-	memoName string
-	memoFrom int
-	memoNext int
-	memoProd *dtd.Production
+	// own marks a frame whose content model the engine validates itself
+	// even when a shared Validator supplies Steps: frames opened by a
+	// self-validated start tag (sax.Handler calls, the batch entry point,
+	// a mid-stream joiner's replayed root).
+	own bool
 
 	scope     *scopeRT // set if this element opened a scope
-	prevInst  *scopeRT // saved instance for the scope variable
-	scopeVar  string
+	prevInst  *scopeRT // saved instance of the scope's variable slot
 	copying   bool
 	simple    *simpleRT
 	captures  []capRef
@@ -165,10 +161,12 @@ type frame struct {
 }
 
 type engine struct {
-	plan      *Plan
-	w         *sax.Writer
-	frames    []frame
-	inst      map[string]*scopeRT
+	plan   *Plan
+	w      *sax.Writer
+	frames []frame
+	// inst holds the innermost open instance of each scope variable,
+	// indexed by the compile-time slot (compileCtx.slot).
+	inst      []*scopeRT
 	curBytes  int64
 	peakBytes int64
 	tokens    int64
@@ -181,8 +179,10 @@ type engine struct {
 	selScratch []*bufNode
 	constVals  [1]cmpVal
 
-	nodeBlock []bufNode // chunked slab for captured-subtree nodes (arena.go)
-	textBlock []byte    // chunked slab for captured text strings (arena.go)
+	nodeBlock   []bufNode   // chunked slab for captured-subtree nodes (arena.go)
+	textBlock   []byte      // chunked slab for captured text strings (arena.go)
+	freeScopes  []*scopeRT  // recycled scope instances (arena.go)
+	freeSimples []*simpleRT // recycled simple-handler firings (arena.go)
 
 	// Join state for the current event generation (join.go): loop runs
 	// with their operand columns and probe indexes, keyed by loop and
@@ -213,11 +213,8 @@ func (e *engine) account(owner *scopeRT, delta int64) {
 }
 
 func (e *engine) newScopeRT(spec *scopeSpec, elemName string) *scopeRT {
-	rt := &scopeRT{
-		spec:  spec,
-		flags: make([]bool, len(spec.watchers)),
-		fired: make([]bool, len(spec.handlers)),
-	}
+	rt := e.allocScopeRT(len(spec.watchers), len(spec.handlers))
+	rt.spec = spec
 	if spec.bufTree != nil {
 		rt.bufRoot = e.newNode()
 		rt.bufRoot.Name = elemName
@@ -230,9 +227,8 @@ func (e *engine) newScopeRT(spec *scopeSpec, elemName string) *scopeRT {
 // watcher positions, instance registration, and i=0 on-first firing.
 func (e *engine) attachScope(f *frame, rt *scopeRT) error {
 	f.scope = rt
-	f.scopeVar = rt.spec.Var
-	f.prevInst = e.inst[rt.spec.Var]
-	e.inst[rt.spec.Var] = rt
+	f.prevInst = e.inst[rt.spec.slot]
+	e.inst[rt.spec.slot] = rt
 	if rt.bufRoot != nil {
 		if rt.spec.bufTree.mark {
 			f.captures = append(f.captures, capRef{node: rt.bufRoot, owner: rt})
@@ -278,11 +274,9 @@ func (e *engine) pushFrame() *frame {
 	f.prod = nil
 	f.state = 0
 	f.name = ""
-	f.memoName = "" // the memo is only valid for this frame's production
-	f.memoProd = nil
+	f.own = false
 	f.scope = nil
 	f.prevInst = nil
-	f.scopeVar = ""
 	f.copying = false
 	f.simple = nil
 	f.captures = f.captures[:0]
@@ -302,13 +296,9 @@ func (f *frame) scrub() {
 	f.prod = nil
 	f.state = 0
 	f.name = ""
-	f.memoName = ""
-	f.memoFrom = 0
-	f.memoNext = 0
-	f.memoProd = nil
+	f.own = false
 	f.scope = nil
 	f.prevInst = nil
-	f.scopeVar = ""
 	f.copying = false
 	f.simple = nil
 	clear(f.captures[:cap(f.captures)])
@@ -348,32 +338,36 @@ func (e *engine) finish() error {
 
 // StartElement implements sax.Handler.
 func (e *engine) StartElement(name string) error {
+	return e.start(name, e.plan.schema.Sym(name), nil)
+}
+
+// start processes a start tag; sym is the element's symbol in the plan's
+// schema. With st nil the engine validates the step itself; otherwise st
+// is the shared Validator's outcome, which the engine adopts unless the
+// parent frame validates its own content model.
+func (e *engine) start(name string, sym int32, st *Step) error {
 	e.tokens++
 	top := &e.frames[len(e.frames)-1]
 
-	// Validating automaton step (also drives punctuation), fused with the
-	// child's production lookup. Repeated same-named siblings — the common
-	// shape of XMark containers — hit the frame's one-entry memo and skip
-	// both map lookups (the scanner interns names, so the string compare
-	// is usually a pointer compare).
+	// Validating automaton step (also drives punctuation) and the child's
+	// production, both by symbol.
 	prevState := top.state
 	var next int
 	var childProd *dtd.Production
-	if name == top.memoName && prevState == top.memoFrom {
-		next = top.memoNext
-		childProd = top.memoProd
-	} else {
+	if st == nil || top.own {
 		var ok bool
-		next, ok = top.prod.Auto.Step(top.state, name)
-		if !ok {
-			return &RunError{Msg: fmt.Sprintf("element <%s> not allowed by content model %s of <%s>",
-				name, top.prod.Model, top.name)}
+		if next, ok = top.prod.Auto.StepSym(prevState, sym); !ok {
+			return errNotAllowed(name, top.prod, top.name)
 		}
-		childProd, ok = e.plan.schema.Production(name)
-		if !ok {
-			return &RunError{Msg: fmt.Sprintf("element <%s> is not declared in the DTD", name)}
+		childProd = e.plan.schema.ProductionSym(sym)
+	} else {
+		if st.Err != nil {
+			return st.Err
 		}
-		top.memoName, top.memoFrom, top.memoNext, top.memoProd = name, prevState, next, childProd
+		prevState, next, childProd = st.Prev, st.Next, st.Child
+	}
+	if childProd == nil {
+		return errUndeclared(name)
 	}
 	top.state = next
 
@@ -382,6 +376,7 @@ func (e *engine) StartElement(name string) error {
 	child.prod = childProd
 	child.state = childProd.Auto.Start()
 	child.name = name
+	child.own = st == nil
 
 	// Inherited sinks.
 	if top.copying {
@@ -398,7 +393,7 @@ func (e *engine) StartElement(name string) error {
 		child.captures = append(child.captures, capRef{node: n, owner: c.owner})
 	}
 	for _, fp := range top.fills {
-		if kid, ok := fp.tree.kids[name]; ok {
+		if kid := fp.tree.kid(sym); kid != nil {
 			n := e.newNode()
 			n.Name = name
 			fp.parent.Kids = append(fp.parent.Kids, n)
@@ -413,7 +408,7 @@ func (e *engine) StartElement(name string) error {
 	child.accs = append(child.accs, top.accs...)
 	for _, wp := range top.watch {
 		spec := wp.spec()
-		if spec.path[wp.pathIdx] != name {
+		if spec.syms[wp.pathIdx] != sym {
 			continue
 		}
 		if wp.pathIdx+1 == len(spec.path) {
@@ -434,7 +429,7 @@ func (e *engine) StartElement(name string) error {
 
 	// Scope handler scan for this child.
 	if top.scope != nil {
-		if err := e.scanHandlers(top.scope, name, prevState, next, child); err != nil {
+		if err := e.scanHandlers(top.scope, name, sym, prevState, next, child); err != nil {
 			return err
 		}
 	}
@@ -450,16 +445,16 @@ func (e *engine) StartElement(name string) error {
 // an on-first handler that precedes a firing on-handler in ζ must emit its
 // output before the on-handler streams the child, so it fires immediately
 // (its buffers then reflect the children before t_i; see DESIGN.md).
-func (e *engine) scanHandlers(rt *scopeRT, name string, prevState, newState int, child *frame) error {
+func (e *engine) scanHandlers(rt *scopeRT, name string, sym int32, prevState, newState int, child *frame) error {
 	spec := rt.spec
+	onIdx := spec.onHandler(sym)
 	if spec.prod.Mixed {
 		// All on-first handlers of mixed scopes fire at the closing tag.
-		if i, ok := spec.onByName[name]; ok {
-			return e.fireOn(spec.handlers[i], child, name)
+		if onIdx >= 0 {
+			return e.fireOn(spec.handlers[onIdx], child, name)
 		}
 		return nil
 	}
-	onIdx, hasOn := spec.onByName[name]
 	for i, h := range spec.handlers {
 		switch h.kind {
 		case hOnFirst:
@@ -467,7 +462,7 @@ func (e *engine) scanHandlers(rt *scopeRT, name string, prevState, newState int,
 				continue
 			}
 			rt.fired[i] = true
-			if !hasOn || i > onIdx {
+			if onIdx < 0 || i > onIdx {
 				child.deferred = append(child.deferred, deferredExec{h: h, rt: rt})
 				continue
 			}
@@ -475,7 +470,7 @@ func (e *engine) scanHandlers(rt *scopeRT, name string, prevState, newState int,
 				return err
 			}
 		case hOn:
-			if !hasOn || i != onIdx {
+			if i != onIdx {
 				continue
 			}
 			if err := e.fireOn(h, child, name); err != nil {
@@ -498,7 +493,8 @@ func (e *engine) fireOn(h *handlerSpec, child *frame, name string) error {
 // fireSimple starts a simple on-handler on the child frame: emit the
 // prefix, decide the guarded stream-copy, install the handler's watchers.
 func (e *engine) fireSimple(sp *simpleSpec, child *frame, name string) error {
-	rt := &simpleRT{spec: sp, flags: make([]bool, len(sp.watchers))}
+	rt := e.allocSimpleRT(len(sp.watchers))
+	rt.spec = sp
 	child.simple = rt
 	env := &execEnv{eng: e, simple: rt}
 	for _, p := range sp.prefix {
@@ -592,12 +588,20 @@ func (e *engine) textBytes(data []byte) error {
 }
 
 // EndElement implements sax.Handler.
-func (e *engine) EndElement(name string) error {
+func (e *engine) EndElement(name string) error { return e.end(name, nil) }
+
+// end processes an end tag, validating the element's content itself
+// (st nil, or a frame with its own state) or adopting the shared
+// Validator's outcome st.
+func (e *engine) end(name string, st *Step) error {
 	e.tokens++
 	top := &e.frames[len(e.frames)-1]
-	if !top.prod.Auto.Accepting(top.state) {
-		return &RunError{Msg: fmt.Sprintf("element <%s> closed with incomplete content (model %s)",
-			name, top.prod.Model)}
+	if st == nil || top.own {
+		if !top.prod.Auto.Accepting(top.state) {
+			return errIncomplete(name, top.prod)
+		}
+	} else if st.Err != nil {
+		return st.Err
 	}
 	for _, a := range top.ownAccs {
 		a.finalize()
@@ -627,6 +631,9 @@ func (e *engine) EndElement(name string) error {
 			return err
 		}
 	}
+	if top.simple != nil {
+		e.freeSimpleRT(top.simple)
+	}
 	e.frames = e.frames[:len(e.frames)-1]
 	return nil
 }
@@ -644,11 +651,8 @@ func (e *engine) closeScope(f *frame) error {
 		}
 	}
 	e.curBytes -= rt.bytes
-	if f.prevInst != nil {
-		e.inst[f.scopeVar] = f.prevInst
-	} else {
-		delete(e.inst, f.scopeVar)
-	}
+	e.inst[rt.spec.slot] = f.prevInst
+	e.freeScopeRT(rt)
 	return nil
 }
 
@@ -684,6 +688,9 @@ type varBind struct {
 	node *bufNode
 	run  *loopRun // the binding loop's state, nil for a loop without columns
 	pos  int      // node's position in run.kids
+	// probed is the loop when its join index served this binding, so
+	// the atoms it implies hold (atomSpec.implied).
+	probed *execProg
 }
 
 type execEnv struct {
@@ -692,20 +699,32 @@ type execEnv struct {
 	simple *simpleRT
 }
 
-// resolve maps a variable to the buffered node it denotes.
-func (env *execEnv) resolve(v string) (*bufNode, error) {
+// resolve maps a variable to the buffered node it denotes: a loop
+// binding, else the open instance in the variable's scope slot.
+func (env *execEnv) resolve(v string, slot int) (*bufNode, error) {
 	for i := len(env.vars) - 1; i >= 0; i-- {
 		if env.vars[i].name == v {
 			return env.vars[i].node, nil
 		}
 	}
-	if rt, ok := env.eng.inst[v]; ok {
+	if rt := env.eng.inst[slot]; rt != nil {
 		if rt.bufRoot == nil {
 			return nil, &RunError{Msg: "no buffer allocated for variable " + v}
 		}
 		return rt.bufRoot, nil
 	}
 	return nil, &RunError{Msg: "unbound variable " + v}
+}
+
+// servedBy reports whether the innermost binding of loop p's variable
+// was served by p's join index.
+func (env *execEnv) servedBy(p *execProg) bool {
+	for i := len(env.vars) - 1; i >= 0; i-- {
+		if b := &env.vars[i]; b.name == p.loopVar {
+			return b.probed == p
+		}
+	}
+	return false
 }
 
 func (e *engine) runExec(p *execProg, env *execEnv) error {
@@ -720,7 +739,7 @@ func (e *engine) runExec(p *execProg, env *execEnv) error {
 	case eStr:
 		return e.w.Raw(p.str)
 	case eVarOut:
-		n, err := env.resolve(p.varName)
+		n, err := env.resolve(p.varName, p.slot)
 		if err != nil {
 			return err
 		}
@@ -784,8 +803,8 @@ func (e *engine) evalAtom(a *atomSpec, env *execEnv) (bool, error) {
 			}
 			flags = env.simple.flags
 		} else {
-			rt, ok := e.inst[a.flag.scopeVar]
-			if !ok {
+			rt := e.inst[a.flag.slot]
+			if rt == nil {
 				return false, &RunError{Msg: "flag read for inactive scope " + a.flag.scopeVar}
 			}
 			flags = rt.flags
@@ -804,6 +823,9 @@ func (e *engine) evalAtom(a *atomSpec, env *execEnv) (bool, error) {
 		found := len(nodes) > 0
 		e.selScratch = nodes[:0]
 		return found != a.neg, nil
+	}
+	if a.implied != nil && env.servedBy(a.implied) {
+		return true, nil
 	}
 	// General comparisons are existential: the atom holds if any lhs/rhs
 	// value pair satisfies the operator. Loop-rooted operands read their
@@ -884,7 +906,7 @@ func compareVals(l *cmpVal, op xq.RelOp, r *cmpVal) bool {
 // selection scratch. The caller must return the slice via
 // e.selScratch = nodes[:0] before the next selection runs.
 func (e *engine) navNodes(o *navOperand, env *execEnv) ([]*bufNode, error) {
-	n, err := env.resolve(o.varName)
+	n, err := env.resolve(o.varName, o.slot)
 	if err != nil {
 		return nil, err
 	}
@@ -911,7 +933,7 @@ func (e *engine) operandValues(o *navOperand, env *execEnv) ([]cmpVal, error) {
 		}
 		return nil, &RunError{Msg: "unbound variable " + o.varName}
 	}
-	root, err := env.resolve(o.varName)
+	root, err := env.resolve(o.varName, o.slot)
 	if err != nil {
 		return nil, err
 	}

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"io"
+	"slices"
 	"sync"
 
 	"flux/internal/sax"
@@ -81,22 +82,30 @@ func (s *Session) TextBytes(data []byte) error {
 // it event-by-event from sax.ScanContext, minus the per-event dispatch
 // and text-string allocations. A SkipElement token — emitted by a scan
 // pruned with this plan's own signature (sax.Options.Prune) — maps to
-// one SkipSubtree step.
+// one SkipSubtree step. Token symbols are used when the batch was
+// resolved in the plan's schema (see SymbolTable), else names are looked
+// up.
 func (s *Session) HandleBatch(b *sax.Batch) error {
 	if s.done {
 		return errClosed
 	}
 	e := s.eng
+	schema := e.plan.schema
+	resolved := b.Syms == sax.SymbolTable(schema)
 	for i := range b.Tokens {
 		t := &b.Tokens[i]
+		sym := t.Sym
+		if !resolved && t.Kind != sax.Text {
+			sym = schema.Sym(t.Name)
+		}
 		var err error
 		switch t.Kind {
 		case sax.StartElement:
-			err = e.StartElement(t.Name)
+			err = e.start(t.Name, sym, nil)
 		case sax.EndElement:
-			err = e.EndElement(t.Name)
+			err = e.end(t.Name, nil)
 		case sax.SkipElement:
-			err = e.skipSubtree(t.Name)
+			err = e.skipSubtree(t.Name, sym, nil)
 		default:
 			err = e.textBytes(t.Data)
 		}
@@ -120,7 +129,49 @@ func (s *Session) SkipSubtree(name string) error {
 	if s.done {
 		return errClosed
 	}
-	return s.eng.skipSubtree(name)
+	return s.eng.skipSubtree(name, s.eng.plan.schema.Sym(name), nil)
+}
+
+// SymbolTable implements sax.SymbolSource: a batched scan feeding the
+// session resolves element names in the plan's schema.
+func (s *Session) SymbolTable() sax.SymbolTable { return s.eng.plan.schema }
+
+// StartStep is StartElement for a shared scan: st is the outcome of the
+// scan's shared Validator for the plan's schema (see Validator). The
+// session adopts the validated step instead of stepping its automaton
+// again; a frame with a validation state of its own (a mid-stream
+// joiner's root) still steps itself. A non-nil st.Err fails the session
+// with that error. With st nil the session validates the step itself,
+// exactly as StartElement.
+func (s *Session) StartStep(name string, st *Step) error {
+	if s.done {
+		return errClosed
+	}
+	if st == nil {
+		return s.eng.StartElement(name)
+	}
+	return s.eng.start(name, st.Sym, st)
+}
+
+// SkipStep is SkipSubtree for a shared scan, with the same contract as
+// StartStep.
+func (s *Session) SkipStep(name string, st *Step) error {
+	if s.done {
+		return errClosed
+	}
+	if st == nil {
+		return s.SkipSubtree(name)
+	}
+	return s.eng.skipSubtree(name, st.Sym, st)
+}
+
+// EndStep is EndElement for a shared scan: st is the shared Validator's
+// end-tag outcome.
+func (s *Session) EndStep(name string, st *Step) error {
+	if s.done {
+		return errClosed
+	}
+	return s.eng.end(name, st)
 }
 
 // Flush pushes buffered output through to the session's writer without
@@ -184,20 +235,18 @@ const (
 	maxPooledCmpVals = 4096
 )
 
-// enginePool recycles engine shells — the frame stack, the instance map,
-// and the output writer's 64 KB buffer — across executions, so a resident
-// server does not churn allocations per query.
+// enginePool recycles engine shells — the frame stack, the instance
+// slots, and the output writer's 64 KB buffer — across executions, so a
+// resident server does not churn allocations per query.
 var enginePool sync.Pool
 
 func newEngine(plan *Plan, w io.Writer) *engine {
 	e, _ := enginePool.Get().(*engine)
 	if e == nil {
-		e = &engine{
-			w:    sax.NewWriter(nil),
-			inst: make(map[string]*scopeRT),
-		}
+		e = &engine{w: sax.NewWriter(nil)}
 	}
 	e.plan = plan
+	e.inst = slices.Grow(e.inst[:0], plan.nslots)[:plan.nslots]
 	e.w.Reset(w)
 	return e
 }
@@ -214,12 +263,19 @@ func (e *engine) release() {
 	}
 	e.frames = e.frames[:0]
 	clear(e.inst)
+	e.inst = e.inst[:0]
 	clear(e.selScratch[:cap(e.selScratch)])
 	e.selScratch = e.selScratch[:0]
 	e.constVals[0] = cmpVal{}
 	// A slab's unused tail pins the whole block, and with it the buffered
 	// nodes carved from the block's head.
 	e.nodeBlock = nil
+	if len(e.freeScopes) > maxPooledInstances {
+		e.freeScopes = nil
+	}
+	if len(e.freeSimples) > maxPooledInstances {
+		e.freeSimples = nil
+	}
 	// The join state references buffered nodes; one huge join burst must
 	// not pin its tables either.
 	if len(e.loops) > maxPooledLoops {

@@ -10,7 +10,6 @@ package engine
 // the plan event by event (see Session.SkipSubtree and internal/mux).
 
 import (
-	"fmt"
 	"sort"
 	"strings"
 
@@ -316,14 +315,24 @@ func (p *Plan) PredictedPeakBytes() int64 { return p.predicted }
 // The checks below are defensive: the router's skip decision comes from
 // the plan's own Signature, so a relevant subtree reaching this path is
 // a routing bug, reported rather than silently dropped.
-func (e *engine) skipSubtree(name string) error {
+//
+// With st nil the engine validates the parent's step itself; otherwise
+// it adopts the shared Validator's outcome, as start does.
+func (e *engine) skipSubtree(name string, sym int32, st *Step) error {
 	e.tokens++
 	top := &e.frames[len(e.frames)-1]
 	prevState := top.state
-	next, ok := top.prod.Auto.Step(top.state, name)
-	if !ok {
-		return &RunError{Msg: fmt.Sprintf("element <%s> not allowed by content model %s of <%s>",
-			name, top.prod.Model, top.name)}
+	var next int
+	if st == nil || top.own {
+		var ok bool
+		if next, ok = top.prod.Auto.StepSym(prevState, sym); !ok {
+			return errNotAllowed(name, top.prod, top.name)
+		}
+	} else {
+		if st.Err != nil {
+			return st.Err
+		}
+		prevState, next = st.Prev, st.Next
 	}
 	top.state = next
 
@@ -331,19 +340,19 @@ func (e *engine) skipSubtree(name string) error {
 		return &RunError{Msg: "selective fan-out skipped <" + name + "> inside a consumed subtree"}
 	}
 	for _, fp := range top.fills {
-		if _, ok := fp.tree.kids[name]; ok {
+		if fp.tree.kid(sym) != nil {
 			return &RunError{Msg: "selective fan-out skipped buffered subtree <" + name + ">"}
 		}
 	}
 	for _, wp := range top.watch {
-		if wp.spec().path[wp.pathIdx] == name {
+		if wp.spec().syms[wp.pathIdx] == sym {
 			return &RunError{Msg: "selective fan-out skipped watched subtree <" + name + ">"}
 		}
 	}
 	if top.scope != nil {
 		rt := top.scope
 		spec := rt.spec
-		if _, ok := spec.onByName[name]; ok {
+		if spec.onHandler(sym) >= 0 {
 			return &RunError{Msg: "selective fan-out skipped handled subtree <" + name + ">"}
 		}
 		if !spec.prod.Mixed {

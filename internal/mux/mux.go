@@ -36,6 +36,15 @@
 // withheld (engine.SigNode.DropText); at a non-mixed position stray
 // text must still fail validation, so it flows. New preserves the
 // deliver-everything behavior, including full per-plan DTD validation.
+//
+// A selective Mux validates each element event once per schema, not
+// once per plan: one engine.Validator per schema that several plans
+// share steps the Glushkov automata, and every session the event
+// reaches — delivered or skip-stepped — adopts that step
+// (engine.Session.StartStep). A validation error therefore fails
+// exactly the sessions that receive the failing event, with the text
+// each would have produced alone. A plan alone on its schema validates
+// itself.
 package mux
 
 import (
@@ -47,6 +56,7 @@ import (
 	"sync/atomic"
 
 	"flux/internal/autom"
+	"flux/internal/dtd"
 	"flux/internal/engine"
 	"flux/internal/sax"
 )
@@ -102,6 +112,14 @@ type Mux struct {
 	machine *autom.Machine
 	matcher *autom.Matcher
 
+	// Shared validation (selective muxes, see engine.Validator): one
+	// validator per schema several plans share, in first-seen order, and
+	// the current token's step of each. tab is the symbol table the
+	// routed batch was resolved in (nil for per-event delivery).
+	vals   []*engine.Validator
+	vsteps []*engine.Step
+	tab    sax.SymbolTable
+
 	// stream is non-nil in streaming mode (NewStreaming): explicit
 	// BeginStream/EndStream lifecycle, mid-stream subscriptions, and a
 	// scan that survives having no live sessions. See stream.go.
@@ -120,6 +138,7 @@ type fanGroup struct {
 	members []int
 	key     string
 	sig     *engine.SigNode
+	val     int // index of the group's shared validator in Mux.vals, -1 for none
 	stack   []*engine.SigNode
 	// skipUntil, when non-zero, is the depth of the element currently
 	// being skipped for this group; every event at a greater depth (and
@@ -246,6 +265,7 @@ func (m *Mux) buildGroups() {
 			m.groups = append(m.groups, &fanGroup{
 				key:   key,
 				sig:   p.Signature(),
+				val:   m.groupValidator(p.Schema()),
 				stack: []*engine.SigNode{p.Signature()},
 			})
 		}
@@ -287,9 +307,102 @@ func (m *Mux) buildGroupsFromMachine() bool {
 	if len(seen) != mach.NumGroups() {
 		return false
 	}
+	for _, g := range groups {
+		g.val = m.groupValidator(m.plans[g.members[0]].Schema())
+	}
 	m.groups = groups
 	m.slotGroup = slotGroup
 	return true
+}
+
+// groupValidator returns the index of the shared validator for a new
+// group's schema, or -1 when only one registered plan uses the schema:
+// a validator steps on every token, so a lone session validating the
+// events it receives costs less.
+func (m *Mux) groupValidator(schema *dtd.Schema) int {
+	n := 0
+	for _, p := range m.plans {
+		if p.Schema() == schema {
+			n++
+		}
+	}
+	if n < 2 {
+		return -1
+	}
+	return m.validatorFor(schema)
+}
+
+// step returns the current token's step of group g's validator, nil
+// when the group's sessions validate themselves.
+func (m *Mux) step(g *fanGroup) *engine.Step {
+	if g.val < 0 {
+		return nil
+	}
+	return m.vsteps[g.val]
+}
+
+// validatorFor returns the index of the shared validator for schema,
+// creating it (positioned before the root) on first use.
+func (m *Mux) validatorFor(schema *dtd.Schema) int {
+	for i, v := range m.vals {
+		if v.Schema() == schema {
+			return i
+		}
+	}
+	m.vals = append(m.vals, engine.NewValidator(schema))
+	m.vsteps = append(m.vsteps, nil)
+	return len(m.vals) - 1
+}
+
+// symIn returns an element's symbol in validator vi's schema: the
+// scanner's resolution when the routed batch was resolved in that
+// schema, a lookup otherwise.
+func (m *Mux) symIn(vi int, name string, sym int32) int32 {
+	schema := m.vals[vi].Schema()
+	if m.tab == sax.SymbolTable(schema) {
+		return sym
+	}
+	return schema.Sym(name)
+}
+
+// validateStart takes the start-tag step once per schema, filling
+// vsteps for the sessions the tag is delivered or skip-stepped to.
+func (m *Mux) validateStart(name string, sym int32) {
+	for i, v := range m.vals {
+		m.vsteps[i] = v.Start(name, m.symIn(i, name, sym))
+	}
+}
+
+// validateSkip is validateStart for a scanner-pruned subtree.
+func (m *Mux) validateSkip(name string, sym int32) {
+	for i, v := range m.vals {
+		m.vsteps[i] = v.Skip(name, m.symIn(i, name, sym))
+	}
+}
+
+// validateEnd takes the end-tag step once per schema.
+func (m *Mux) validateEnd(name string) {
+	for i, v := range m.vals {
+		m.vsteps[i] = v.End(name)
+	}
+}
+
+// SymbolTable implements sax.SymbolSource: the scan resolves element
+// names in the schema of the first registered plan — for a stream with
+// no subscription yet, of the first pending one. Plans on other schemas
+// look names up instead. The scanner asks once, at scan start.
+func (m *Mux) SymbolTable() sax.SymbolTable {
+	if len(m.plans) > 0 {
+		return m.plans[0].Schema()
+	}
+	if st := m.stream; st != nil {
+		st.pendMu.Lock()
+		defer st.pendMu.Unlock()
+		if len(st.pend) > 0 {
+			return st.pend[0].plan.Schema()
+		}
+	}
+	return nil
 }
 
 // machineGroups renders the Mux's routing groups, in index order, as
@@ -401,6 +514,7 @@ func (m *Mux) HandleBatch(b *sax.Batch) error {
 // (Session.TextBytes), so the batched selective scan allocates no text
 // strings either.
 func (m *Mux) routeBatch(b *sax.Batch) error {
+	m.tab = b.Syms
 	for i := range b.Tokens {
 		t := &b.Tokens[i]
 		if m.stream != nil && m.depth <= 1 && m.stream.npend.Load() > 0 {
@@ -412,11 +526,11 @@ func (m *Mux) routeBatch(b *sax.Batch) error {
 		var err error
 		switch t.Kind {
 		case sax.StartElement:
-			err = m.routeStart(t.Name)
+			err = m.routeStart(t.Name, t.Sym)
 		case sax.EndElement:
 			err = m.routeEnd(t.Name)
 		case sax.SkipElement:
-			err = m.routeSkip(t.Name)
+			err = m.routeSkip(t.Name, t.Sym)
 		default:
 			err = m.routeTextBytes(t.Data)
 		}
@@ -432,7 +546,8 @@ func (m *Mux) StartElement(name string) error {
 	m.events++
 	m.pollCtxs()
 	if m.selective {
-		return m.routeStart(name)
+		m.tab = nil // per-event delivery carries no symbols
+		return m.routeStart(name, -1)
 	}
 	for i, s := range m.sessions {
 		if !m.live[i] {
@@ -454,22 +569,26 @@ func (m *Mux) StartElement(name string) error {
 // SkipSubtree step and withholds everything until the matching end tag.
 // Automaton routing makes the same decision for all groups in one
 // matcher step; grouped routing walks each group's own trie cursor.
-func (m *Mux) routeStart(name string) error {
+// Either way the tag is validated once per schema, and every session it
+// reaches adopts that step. sym is the tag's symbol in m.tab.
+func (m *Mux) routeStart(name string, sym int32) error {
 	m.depth++
 	if m.stream != nil && m.depth == 1 {
 		m.stream.rootName = name
 	}
+	m.validateStart(name, sym)
 	if m.matcher != nil {
 		deliver, skip := m.matcher.Start(name)
 		for w, word := range skip {
 			for word != 0 {
 				g := m.groups[w<<6+bits.TrailingZeros64(word)]
 				word &= word - 1
+				st := m.step(g)
 				for _, i := range g.members {
 					if !m.live[i] {
 						continue
 					}
-					if err := m.sessions[i].SkipSubtree(name); err != nil {
+					if err := m.sessions[i].SkipStep(name, st); err != nil {
 						m.fail(i, err)
 					}
 				}
@@ -479,11 +598,12 @@ func (m *Mux) routeStart(name string) error {
 			for word != 0 {
 				g := m.groups[w<<6+bits.TrailingZeros64(word)]
 				word &= word - 1
+				st := m.step(g)
 				for _, i := range g.members {
 					if !m.live[i] {
 						continue
 					}
-					if err := m.sessions[i].StartElement(name); err != nil {
+					if err := m.sessions[i].StartStep(name, st); err != nil {
 						m.fail(i, err)
 					}
 				}
@@ -504,12 +624,13 @@ func (m *Mux) routeStart(name string) error {
 		if !cur.All {
 			next = cur.Kids[name]
 		}
+		st := m.step(g)
 		if next == nil {
 			for _, i := range g.members {
 				if !m.live[i] {
 					continue
 				}
-				if err := m.sessions[i].SkipSubtree(name); err != nil {
+				if err := m.sessions[i].SkipStep(name, st); err != nil {
 					m.fail(i, err)
 				}
 			}
@@ -521,7 +642,7 @@ func (m *Mux) routeStart(name string) error {
 			if !m.live[i] {
 				continue
 			}
-			if err := m.sessions[i].StartElement(name); err != nil {
+			if err := m.sessions[i].StartStep(name, st); err != nil {
 				m.fail(i, err)
 			}
 		}
@@ -680,17 +801,19 @@ func (m *Mux) EndElement(name string) error {
 // resumes routing when the skipped element's own end tag goes by (the
 // SkipSubtree step already accounted for the whole element).
 func (m *Mux) routeEnd(name string) error {
+	m.validateEnd(name)
 	if m.matcher != nil {
 		deliver := m.matcher.End()
 		for w, word := range deliver {
 			for word != 0 {
 				g := m.groups[w<<6+bits.TrailingZeros64(word)]
 				word &= word - 1
+				st := m.step(g)
 				for _, i := range g.members {
 					if !m.live[i] {
 						continue
 					}
-					if err := m.sessions[i].EndElement(name); err != nil {
+					if err := m.sessions[i].EndStep(name, st); err != nil {
 						m.fail(i, err)
 					}
 				}
@@ -714,11 +837,12 @@ func (m *Mux) routeEnd(name string) error {
 			continue
 		}
 		g.stack = g.stack[:len(g.stack)-1]
+		st := m.step(g)
 		for _, i := range g.members {
 			if !m.live[i] {
 				continue
 			}
-			if err := m.sessions[i].EndElement(name); err != nil {
+			if err := m.sessions[i].EndStep(name, st); err != nil {
 				m.fail(i, err)
 			}
 		}
@@ -857,18 +981,20 @@ func unionSigs(nodes []*engine.SigNode) *sax.PruneNode {
 // element's interior, so each group's SkippedEvents counter advances by
 // one — the element itself — rather than by its (unknown) event count:
 // under scanner pruning the counter is a lower bound.
-func (m *Mux) routeSkip(name string) error {
+func (m *Mux) routeSkip(name string, sym int32) error {
+	m.validateSkip(name, sym)
 	if m.matcher != nil {
 		deliver := m.matcher.Skip()
 		for w, word := range deliver {
 			for word != 0 {
 				g := m.groups[w<<6+bits.TrailingZeros64(word)]
 				word &= word - 1
+				st := m.step(g)
 				for _, i := range g.members {
 					if !m.live[i] {
 						continue
 					}
-					if err := m.sessions[i].SkipSubtree(name); err != nil {
+					if err := m.sessions[i].SkipStep(name, st); err != nil {
 						m.fail(i, err)
 					}
 				}
@@ -884,11 +1010,12 @@ func (m *Mux) routeSkip(name string) error {
 		if g.skipUntil != 0 {
 			continue
 		}
+		st := m.step(g)
 		for _, i := range g.members {
 			if !m.live[i] {
 				continue
 			}
-			if err := m.sessions[i].SkipSubtree(name); err != nil {
+			if err := m.sessions[i].SkipStep(name, st); err != nil {
 				m.fail(i, err)
 			}
 		}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"io"
 	"strings"
+	"sync"
 	"testing"
 
 	"flux/internal/core"
@@ -16,9 +17,18 @@ import (
 
 var scanOpt = sax.Options{SkipWhitespaceText: true}
 
+// schemas holds one parsed schema per DTD text, as flux.Catalog keeps
+// them: plans compiled against the same DTD share it, so a selective
+// scan over them validates once (engine.Validator).
+var schemas sync.Map
+
 func compile(t *testing.T, dtdText, fluxText string) *engine.Plan {
 	t.Helper()
-	schema := dtd.MustParse(dtdText)
+	v, ok := schemas.Load(dtdText)
+	if !ok {
+		v, _ = schemas.LoadOrStore(dtdText, dtd.MustParse(dtdText))
+	}
+	schema := v.(*dtd.Schema)
 	f, err := core.ParseFlux(fluxText)
 	if err != nil {
 		t.Fatalf("parse %q: %v", fluxText, err)

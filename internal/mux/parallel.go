@@ -12,12 +12,13 @@ package mux
 // delivery decision for a token is known.
 //
 // SetParallel splits the scan accordingly. The scan goroutine (the
-// producer) keeps tokenizing and running the Matcher, but instead of
-// calling into sessions it copies each token's delivery masks into a
-// per-batch item and hands the item to a small pool of workers, each
-// owning a disjoint set of routing groups. A worker walks its groups
-// over the item's token range, delivering StartElement / EndElement /
-// TextBytes / SkipSubtree to its groups' live members exactly as the
+// producer) keeps tokenizing and running the Matcher and the shared
+// validators, but instead of calling into sessions it copies each
+// token's delivery masks and validation steps into a per-batch item and
+// hands the item to a small pool of workers, each owning a disjoint set
+// of routing groups. A worker walks its groups over the item's token
+// range, delivering StartStep / EndStep / TextBytes / SkipStep to its
+// groups' live members exactly as the
 // sequential router would — same calls, same order per session — so
 // outputs, per-query stats, and error isolation are byte-identical to
 // the sequential path.
@@ -67,6 +68,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"flux/internal/engine"
 	"flux/internal/sax"
 )
 
@@ -136,16 +138,21 @@ type parMsg struct {
 	quiesce *sync.WaitGroup
 }
 
-// parItem carries one batch's routing decisions: for every token from
-// firstTok on, the deliver mask and (for start tags) the skip-start
-// mask the matcher produced, copied out because matcher masks are only
-// valid until its next call.
+// parItem carries one batch's routing and validation decisions: for
+// every token from firstTok on, the deliver mask and (for start tags)
+// the skip-start mask the matcher produced, and for element tokens the
+// shared validators' steps — all copied out, because matcher masks and
+// validator steps are only valid until the next call.
 type parItem struct {
 	batch *sax.Batch
 	// masks holds 2*words words per covered token: deliver first, then
 	// skip-start (meaningful for StartElement tokens only). Indexed by
 	// (tok - firstTok).
-	masks    []uint64
+	masks []uint64
+	// steps holds nvals validator steps per covered token (element
+	// tokens only), indexed by (tok - firstTok)*nvals + validator.
+	steps    []engine.Step
+	nvals    int    // validator count when the item was created
 	kinds    []byte // token kinds, for parFillSkipped's reconstruction
 	words    int    // mask width when the item was created
 	firstTok int    // first batch token this item covers
@@ -304,6 +311,7 @@ func (m *Mux) parHandleBatch(b *sax.Batch) error {
 		}
 		return nil
 	}
+	m.tab = b.Syms
 	it := m.parNewItem(b, 0)
 	lo := 0
 	for i := range b.Tokens {
@@ -330,14 +338,20 @@ func (m *Mux) parHandleBatch(b *sax.Batch) error {
 			deliver, skip := m.matcher.Start(t.Name)
 			copy(it.masks[base:], deliver)
 			copy(it.masks[base+it.words:], skip)
+			m.validateStart(t.Name, t.Sym)
+			it.putSteps(m, i)
 		case sax.EndElement:
 			copy(it.masks[base:], m.matcher.End())
+			m.validateEnd(t.Name)
+			it.putSteps(m, i)
 			m.depth--
 			if m.stream != nil && m.depth == 0 {
 				m.stream.rootClosed = true
 			}
 		case sax.SkipElement:
 			copy(it.masks[base:], m.matcher.Skip())
+			m.validateSkip(t.Name, t.Sym)
+			it.putSteps(m, i)
 		default:
 			copy(it.masks[base:], m.matcher.Text())
 		}
@@ -366,8 +380,15 @@ func (m *Mux) parNewItem(b *sax.Batch, firstTok int) *parItem {
 	} else {
 		it.kinds = it.kinds[:n]
 	}
+	nvals := len(m.vals)
+	if cap(it.steps) < n*nvals {
+		it.steps = make([]engine.Step, n*nvals)
+	} else {
+		it.steps = it.steps[:n*nvals]
+	}
 	it.batch = b
 	it.words = words
+	it.nvals = nvals
 	it.firstTok = firstTok
 	it.startPos = m.par.pos
 	it.retained = m.stream == nil
@@ -376,6 +397,24 @@ func (m *Mux) parNewItem(b *sax.Batch, firstTok int) *parItem {
 		it.skipAt = m.matcher.SnapshotSkipped(it.skipAt[:0])
 	}
 	return it
+}
+
+// putSteps copies the validators' steps for batch token tok into the
+// item.
+func (it *parItem) putSteps(m *Mux, tok int) {
+	base := (tok - it.firstTok) * it.nvals
+	for vi, st := range m.vsteps {
+		it.steps[base+vi] = *st
+	}
+}
+
+// step returns the step of validator vi for batch token tok, nil for
+// vi < 0 (a group whose sessions validate themselves).
+func (it *parItem) step(tok, vi int) *engine.Step {
+	if vi < 0 {
+		return nil
+	}
+	return &it.steps[(tok-it.firstTok)*it.nvals+vi]
 }
 
 // parFlushRange sends the item's [lo, hi) token range to every worker,
@@ -484,42 +523,46 @@ func (m *Mux) parProcess(w *parWorker, msg parMsg) {
 			switch t.Kind {
 			case sax.StartElement:
 				if deliver {
+					st := it.step(ti, g.val)
 					for _, slot := range g.members {
 						if !m.live[slot] {
 							continue
 						}
-						if err := m.sessions[slot].StartElement(t.Name); err != nil {
+						if err := m.sessions[slot].StartStep(t.Name, st); err != nil {
 							m.parFail(slot, err, pos)
 						}
 					}
 				} else if it.masks[base+it.words]&bit != 0 {
+					st := it.step(ti, g.val)
 					for _, slot := range g.members {
 						if !m.live[slot] {
 							continue
 						}
-						if err := m.sessions[slot].SkipSubtree(t.Name); err != nil {
+						if err := m.sessions[slot].SkipStep(t.Name, st); err != nil {
 							m.parFail(slot, err, pos)
 						}
 					}
 				}
 			case sax.EndElement:
 				if deliver {
+					st := it.step(ti, g.val)
 					for _, slot := range g.members {
 						if !m.live[slot] {
 							continue
 						}
-						if err := m.sessions[slot].EndElement(t.Name); err != nil {
+						if err := m.sessions[slot].EndStep(t.Name, st); err != nil {
 							m.parFail(slot, err, pos)
 						}
 					}
 				}
 			case sax.SkipElement:
 				if deliver {
+					st := it.step(ti, g.val)
 					for _, slot := range g.members {
 						if !m.live[slot] {
 							continue
 						}
-						if err := m.sessions[slot].SkipSubtree(t.Name); err != nil {
+						if err := m.sessions[slot].SkipStep(t.Name, st); err != nil {
 							m.parFail(slot, err, pos)
 						}
 					}

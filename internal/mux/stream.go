@@ -223,7 +223,10 @@ func (m *Mux) activatePending() {
 		// Replay the open-element context: if the root is open, the new
 		// session sees its start tag now (or skips the whole remainder of
 		// the root, if its group's automaton state is inactive), aligning
-		// it with the rest of its group.
+		// it with the rest of its group. The replay validates itself, so
+		// the session's root frame keeps its own content-model state: it
+		// sees only a suffix of the root's children, where the shared
+		// validator's state covers them all.
 		if m.depth == 1 {
 			if m.matcher.Active(gi) {
 				if err := s.StartElement(st.rootName); err != nil {
@@ -259,9 +262,18 @@ func (m *Mux) streamGroup(plan *engine.Plan) (int, bool) {
 	}
 	gi := len(m.groups)
 	m.stream.groupKeys[key] = gi
+	nv := len(m.vals)
+	vi := m.groupValidator(plan.Schema())
+	if vi == nv && m.depth == 1 {
+		// A schema new to the stream, inside the open root: the validator
+		// never saw the root's earlier children, so its root state is
+		// unknown — the joiners on it validate the root level themselves.
+		m.vals[vi].JoinRoot(m.stream.rootName, plan.Schema().Sym(m.stream.rootName))
+	}
 	m.groups = append(m.groups, &fanGroup{
 		key:   key,
 		sig:   plan.Signature(),
+		val:   vi,
 		stack: []*engine.SigNode{plan.Signature()},
 	})
 	return gi, true

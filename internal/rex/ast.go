@@ -6,7 +6,10 @@
 // by the Section 7 loop-merging rewrite.
 package rex
 
-import "strings"
+import (
+	"slices"
+	"strings"
+)
 
 // Expr is a regular expression over element names (content model).
 type Expr interface {
@@ -120,14 +123,13 @@ func (e Opt) appendTo(b *strings.Builder, prec int) {
 // first-occurrence order (symb(ρ) in the paper).
 func Symbols(e Expr) []string {
 	var out []string
-	seen := make(map[string]bool)
 	var walk func(Expr)
 	walk = func(e Expr) {
 		switch e := e.(type) {
 		case Epsilon:
 		case Sym:
-			if !seen[e.Name] {
-				seen[e.Name] = true
+			// Content-model alphabets are small: a scan beats a set.
+			if !slices.Contains(out, e.Name) {
 				out = append(out, e.Name)
 			}
 		case Seq:

@@ -25,12 +25,11 @@ func (e *AmbiguityError) Error() string {
 type Automaton struct {
 	expr Expr
 
-	syms   []string       // distinct symbols, sorted
-	symIdx map[string]int // name -> index into syms
+	syms []string // distinct symbols, sorted (see symIndex)
 
 	n      int     // number of states (positions + 1)
 	posSym []int   // state -> symbol index (state 0 -> -1)
-	trans  [][]int // trans[state][symIdx] -> next state, -1 if none
+	trans  [][]int // trans[state][symbol index] -> next state, -1 if none
 	accept []bool
 
 	// reachSyms[q] is the set of symbol indices reachable from q via at
@@ -42,6 +41,10 @@ type Automaton struct {
 
 	// reachPos[q] is the set of states reachable from q via >=1 steps.
 	reachPos []bitset
+
+	// bySym maps an external dense symbol ID (BindSymbols) to the index
+	// of that symbol in syms, -1 for symbols outside the alphabet.
+	bySym []int32
 }
 
 // position marks one occurrence of a symbol in the expression.
@@ -54,12 +57,9 @@ type glushkovSets struct {
 // Build constructs the Glushkov automaton for e. It returns an
 // AmbiguityError if e is not one-unambiguous.
 func Build(e Expr) (*Automaton, error) {
-	a := &Automaton{expr: e, symIdx: make(map[string]int)}
+	a := &Automaton{expr: e}
 	a.syms = Symbols(e)
 	sort.Strings(a.syms)
-	for i, s := range a.syms {
-		a.symIdx[s] = i
-	}
 
 	// Assign positions in left-to-right order; position p corresponds to
 	// automaton state p (1-based). follow[p] collects follow positions.
@@ -83,7 +83,8 @@ func Build(e Expr) (*Automaton, error) {
 		case Epsilon:
 			return glushkovSets{nullable: true}
 		case Sym:
-			p := newPos(a.symIdx[e.Name])
+			si, _ := a.symIndex(e.Name)
+			p := newPos(si)
 			return glushkovSets{nullable: false, first: []int{p}, last: []int{p}}
 		case Seq:
 			out := glushkovSets{nullable: true}
@@ -166,6 +167,14 @@ func Build(e Expr) (*Automaton, error) {
 	return a, nil
 }
 
+// symIndex returns the index of name in the sorted alphabet. Content
+// models have small alphabets, so a binary search beats a map here, and
+// building the automaton allocates no index.
+func (a *Automaton) symIndex(name string) (int, bool) {
+	i := sort.SearchStrings(a.syms, name)
+	return i, i < len(a.syms) && a.syms[i] == name
+}
+
 // MustBuild is Build for known-good expressions.
 func MustBuild(e Expr) *Automaton {
 	a, err := Build(e)
@@ -224,7 +233,7 @@ func (a *Automaton) Symbols() []string { return a.syms }
 
 // HasSymbol reports whether name occurs in the expression.
 func (a *Automaton) HasSymbol(name string) bool {
-	_, ok := a.symIdx[name]
+	_, ok := a.symIndex(name)
 	return ok
 }
 
@@ -237,8 +246,50 @@ func (a *Automaton) Start() int { return 0 }
 // Step performs the deterministic transition from state q on symbol name.
 // ok is false if the symbol is not allowed at this point (invalid word).
 func (a *Automaton) Step(q int, name string) (next int, ok bool) {
-	si, here := a.symIdx[name]
+	si, here := a.symIndex(name)
 	if !here {
+		return q, false
+	}
+	p := a.trans[q][si]
+	if p < 0 {
+		return q, false
+	}
+	return p, true
+}
+
+// BindSymbols indexes the automaton's transitions by an external dense
+// symbol space: id maps each alphabet symbol to its ID in [0, n), or to a
+// negative value when the symbol has none. Afterwards StepSym steps by
+// ID with slice lookups only. A schema binds each of its automata once,
+// when it is parsed; the automaton is read-only afterwards.
+func (a *Automaton) BindSymbols(id func(name string) int32, n int) {
+	// IDs past the alphabet's largest never step, so the table stops
+	// there (StepSym bounds-checks).
+	size := 0
+	for _, s := range a.syms {
+		if g := id(s); g >= 0 && int(g) < n {
+			size = max(size, int(g)+1)
+		}
+	}
+	a.bySym = make([]int32, size)
+	for i := range a.bySym {
+		a.bySym[i] = -1
+	}
+	for i, s := range a.syms {
+		if g := id(s); g >= 0 && int(g) < size {
+			a.bySym[g] = int32(i)
+		}
+	}
+}
+
+// StepSym is Step for a symbol ID bound by BindSymbols. IDs outside the
+// bound space, and negative IDs, are never allowed.
+func (a *Automaton) StepSym(q int, sym int32) (next int, ok bool) {
+	if uint32(sym) >= uint32(len(a.bySym)) {
+		return q, false
+	}
+	si := a.bySym[sym]
+	if si < 0 {
 		return q, false
 	}
 	p := a.trans[q][si]
@@ -269,7 +320,7 @@ func (a *Automaton) Accepts(word []string) bool {
 // name can occur in any continuation of the word. Symbols outside the
 // alphabet are trivially past.
 func (a *Automaton) Past(q int, name string) bool {
-	si, ok := a.symIdx[name]
+	si, ok := a.symIndex(name)
 	if !ok {
 		return true
 	}

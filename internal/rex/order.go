@@ -13,7 +13,7 @@ package rex
 // Via the automaton: after reading any b (i.e. in any state labelled b),
 // a must be past.
 func (a *Automaton) Ord(first, then string) bool {
-	ti, ok := a.symIdx[then]
+	ti, ok := a.symIndex(then)
 	if !ok {
 		return true
 	}
@@ -32,7 +32,7 @@ func (a *Automaton) Ord(first, then string) bool {
 // occurrence of name (the cardinality constraint a ∈ ||≤1 of Section 7).
 // Symbols outside the alphabet occur zero times and qualify.
 func (a *Automaton) AtMostOnce(name string) bool {
-	si, ok := a.symIdx[name]
+	si, ok := a.symIndex(name)
 	if !ok {
 		return true
 	}

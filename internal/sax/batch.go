@@ -9,19 +9,42 @@ import (
 )
 
 // Token is one SAX event in batched delivery. Name is set for element
-// and SkipElement events and is interned (stable across the scan). Data
-// is set for text events and references the owning Batch's arena: it is
-// valid only until the batch is recycled — two HandleBatch calls after
-// the one that delivered it (see Batch). A consumer that retains text
-// must copy it (string(tok.Data) or append) at the retention point.
+// and SkipElement events and is interned (stable across the scan). Sym
+// is Name resolved in the batch's symbol table (Batch.Syms). Data is set
+// for text events and references the owning Batch's arena: it is valid
+// only until the batch is recycled — two HandleBatch calls after the one
+// that delivered it (see Batch). A consumer that retains text must copy
+// it (string(tok.Data) or append) at the retention point.
 type Token struct {
 	// Kind is the event type: StartElement, EndElement, or Text.
 	Kind Kind
+	// Sym is the symbol ID of Name in Batch.Syms, resolved once when the
+	// scanner interned the name; meaningless when Batch.Syms is nil.
+	Sym int32
 	// Name is the element name for StartElement/EndElement tokens.
 	Name string
 	// Data is the decoded character data for Text tokens, backed by the
 	// batch arena.
 	Data []byte
+}
+
+// SymbolTable maps element names to dense symbol IDs, negative for names
+// outside the table. A parsed DTD (dtd.Schema) is one. Tables are
+// identified by ==, so an implementation must be a comparable type —
+// in practice a pointer.
+type SymbolTable interface {
+	// Sym returns the symbol ID of an element name.
+	Sym(name string) int32
+}
+
+// SymbolSource is implemented by a BatchHandler that indexes element
+// names by symbol. At scan start the scanner asks it for its table and
+// resolves every element name through it once, when the name is
+// interned — not once per consumer — and marks each delivered batch
+// with the table (Batch.Syms). A nil table leaves names unresolved.
+type SymbolSource interface {
+	// SymbolTable returns the table to resolve names in, or nil.
+	SymbolTable() SymbolTable
 }
 
 // Batch is a slice of consecutive SAX events sharing one text arena.
@@ -40,6 +63,10 @@ type Token struct {
 type Batch struct {
 	// Tokens are the events of this batch, in stream order.
 	Tokens []Token
+	// Syms is the symbol table the tokens' Sym fields were resolved in,
+	// nil when the scan resolved no symbols. Consumers compare it with
+	// their own table before trusting Token.Sym.
+	Syms SymbolTable
 
 	arena []byte // backing store for Text token payloads
 
@@ -160,6 +187,11 @@ func ScanBatchedContext(ctx context.Context, r io.Reader, h BatchHandler, opt Op
 	s.bh = h
 	s.opt = opt
 	s.ctx = ctx
+	var tab SymbolTable
+	if src, ok := h.(SymbolSource); ok {
+		tab = src.SymbolTable()
+	}
+	s.bindSymbols(tab)
 	if opt.Prune != nil {
 		s.prune = append(s.prune[:0], opt.Prune)
 	}
@@ -185,6 +217,7 @@ func (s *scanner) curBatch() *Batch {
 	if b == nil {
 		b = batchPool.Get().(*Batch)
 		b.arena = arenaPool.Get().([]byte)
+		b.Syms = s.syms
 		s.ring[s.ringPos] = b
 	}
 	return b
@@ -247,6 +280,7 @@ func (s *scanner) releaseRing() {
 		b.arena = nil
 		clear(b.Tokens)
 		b.Tokens = b.Tokens[:0]
+		b.Syms = nil
 		batchPool.Put(b)
 	}
 	s.ringPos = 0

@@ -376,3 +376,82 @@ func TestScanBatchedPruneMalformed(t *testing.T) {
 		}
 	}
 }
+
+// symTable is a SymbolTable over a fixed name list.
+type symTable struct{ names []string }
+
+func (st *symTable) Sym(name string) int32 {
+	for i, n := range st.names {
+		if n == name {
+			return int32(i)
+		}
+	}
+	return -1
+}
+
+// symCollector records each element token's symbol and its batch's
+// table, offering tab to the scanner as a SymbolSource.
+type symCollector struct {
+	tab  SymbolTable
+	syms map[string][]int32
+	seen []SymbolTable
+}
+
+func (c *symCollector) SymbolTable() SymbolTable { return c.tab }
+
+func (c *symCollector) HandleBatch(b *Batch) error {
+	c.seen = append(c.seen, b.Syms)
+	for _, tok := range b.Tokens {
+		if tok.Kind != Text {
+			c.syms[tok.Name] = append(c.syms[tok.Name], tok.Sym)
+		}
+	}
+	return nil
+}
+
+// TestTokenSymbols: a batched scan resolves element names in the
+// handler's symbol table — start, end, skipped and attribute-derived
+// elements alike — and marks every batch with it. A pooled scanner that
+// interned the same names under another table re-resolves them, and a
+// scan without a table marks its batches with none.
+func TestTokenSymbols(t *testing.T) {
+	const doc = `<r><a k="v">1</a><b><c/></b><a>2</a></r>`
+	opt := Options{AttrsToSubelements: true, Prune: &PruneNode{Kids: map[string]*PruneNode{
+		"r": {Kids: map[string]*PruneNode{"a": {All: true}}},
+	}}}
+	for _, tab := range []*symTable{{[]string{"r", "a", "b", "a_k"}}, {[]string{"a_k", "b", "a", "r"}}} {
+		// Twice per table: the second scan reuses the pooled scanner with
+		// the names interned under the same table, the first under the
+		// other one.
+		for range 2 {
+			c := &symCollector{tab: tab, syms: map[string][]int32{}}
+			if err := ScanBatchedString(doc, c, opt); err != nil {
+				t.Fatal(err)
+			}
+			for name, got := range c.syms {
+				for _, sym := range got {
+					if want := tab.Sym(name); sym != want {
+						t.Errorf("table %v: <%s> carried symbol %d, want %d", tab.names, name, sym, want)
+					}
+				}
+			}
+			if len(c.syms["b"]) != 1 {
+				t.Errorf("table %v: want one SkipElement token for <b>, got symbols %v", tab.names, c.syms["b"])
+			}
+			for _, s := range c.seen {
+				if s != SymbolTable(tab) {
+					t.Errorf("table %v: batch marked with %v", tab.names, s)
+				}
+			}
+		}
+	}
+	c := &symCollector{syms: map[string][]int32{}}
+	if err := ScanBatchedString(doc, c, Options{}); err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range c.seen {
+		if s != nil {
+			t.Errorf("scan without a table marked a batch with %v", s)
+		}
+	}
+}

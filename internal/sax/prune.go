@@ -23,7 +23,7 @@ type PruneNode struct {
 
 // emitSkip appends a SkipElement token for a pruned element. Only called
 // in batched mode (pruning is ignored by per-event scans).
-func (s *scanner) emitSkip(name string) error {
+func (s *scanner) emitSkip(name string, sym int32) error {
 	b := s.curBatch()
 	if len(b.Tokens) >= maxBatchTokens {
 		if err := s.flushBatch(); err != nil {
@@ -31,7 +31,7 @@ func (s *scanner) emitSkip(name string) error {
 		}
 		b = s.curBatch()
 	}
-	b.Tokens = append(b.Tokens, Token{Kind: SkipElement, Name: name})
+	b.Tokens = append(b.Tokens, Token{Kind: SkipElement, Sym: sym, Name: name})
 	return nil
 }
 
@@ -43,8 +43,8 @@ func (s *scanner) emitSkip(name string) error {
 // the same well-formedness trade the skip's consumer (engine
 // SkipSubtree) already makes for validation: the caller asserted nothing
 // inside the element can matter.
-func (s *scanner) skipElement(name string) error {
-	if err := s.emitSkip(name); err != nil {
+func (s *scanner) skipElement(name string, sym int32) error {
+	if err := s.emitSkip(name, sym); err != nil {
 		return err
 	}
 	selfClose, err := s.rawTag()

@@ -107,7 +107,7 @@ func getScanner() *scanner {
 	if s == nil {
 		s = &scanner{
 			in:    make([]byte, 0, inputBlockSize),
-			names: make(map[string]string, 64),
+			names: make(map[string]nameEntry, 64),
 		}
 	}
 	return s
@@ -137,14 +137,20 @@ func (s *scanner) recycle() {
 	} else {
 		s.text = s.text[:0]
 	}
+	if cap(s.pend) > maxPooledScratch {
+		s.pend = nil
+	} else {
+		s.pend = s.pend[:0]
+	}
+	s.pendInk = false
 	if cap(s.buf) > maxPooledScratch {
 		s.buf = nil
 	} else {
 		s.buf = s.buf[:0]
 	}
 	if len(s.names) > maxPooledNames {
-		s.names = make(map[string]string, 64)
-		s.nameCache = [nameCacheSize]string{}
+		s.names = make(map[string]nameEntry, 64)
+		s.nameCache = [nameCacheSize]nameEntry{}
 	}
 	scannerPool.Put(s)
 }
@@ -173,13 +179,22 @@ type scanner struct {
 	nextErr error // read error delivered after its batch of bytes drains
 
 	stack []string
-	text  []byte            // character-data accumulation scratch
-	names map[string]string // interning table for element names
+	text  []byte // raw character data of the current run, decoded at flush
+	// pend holds the decoded part of a text node that comments,
+	// processing instructions or CDATA sections interrupt: the node is
+	// still one text event, delivered at the next tag. pendInk records
+	// that some part of it was not all XML whitespace.
+	pend    []byte
+	pendInk bool
+	names   map[string]nameEntry // interning table for element names
 	// nameCache is a direct-mapped cache in front of names: element names
 	// repeat constantly, and a cheap byte-derived index plus one string
 	// compare beats a hashed map lookup per tag.
-	nameCache [nameCacheSize]string
+	nameCache [nameCacheSize]nameEntry
 	buf       []byte // name/attribute scratch
+	// syms is the symbol table the interned names are resolved in (see
+	// SymbolSource); kept across pooled scans with the names it resolved.
+	syms SymbolTable
 
 	// prune, when non-empty, is the prune-trie cursor stack alongside
 	// stack (batched scans with Options.Prune only; see prune.go).
@@ -292,20 +307,52 @@ func nameCacheIdx(b []byte) int {
 	return (int(b[0])*31 + int(b[len(b)-1])*7 + len(b)) & (nameCacheSize - 1)
 }
 
+// nameEntry is one interned name with its symbol ID in the scanner's
+// symbol table (-1 without a table).
+type nameEntry struct {
+	name string
+	sym  int32
+}
+
 // intern returns a canonical string for the name bytes, avoiding an
-// allocation per occurrence of a repeated element name.
-func (s *scanner) intern(b []byte) string {
+// allocation per occurrence of a repeated element name, and the name's
+// symbol ID — looked up once per distinct name, not once per tag.
+func (s *scanner) intern(b []byte) (string, int32) {
 	i := nameCacheIdx(b)
-	if c := s.nameCache[i]; c == string(b) { // no alloc: comparison only
-		return c
+	if c := s.nameCache[i]; c.name == string(b) { // no alloc: comparison only
+		return c.name, c.sym
 	}
-	n, ok := s.names[string(b)] // no alloc: map lookup on []byte key
+	e, ok := s.names[string(b)] // no alloc: map lookup on []byte key
 	if !ok {
-		n = string(b)
-		s.names[n] = n
+		e.name = string(b)
+		e.sym = s.resolve(e.name)
+		s.names[e.name] = e
 	}
-	s.nameCache[i] = n
-	return n
+	s.nameCache[i] = e
+	return e.name, e.sym
+}
+
+// resolve looks a name up in the scan's symbol table.
+func (s *scanner) resolve(name string) int32 {
+	if s.syms == nil {
+		return -1
+	}
+	return s.syms.Sym(name)
+}
+
+// bindSymbols makes tab the symbol table of the scan about to start. A
+// pooled scanner last used under another table re-resolves its interned
+// names, so every Token.Sym agrees with Batch.Syms.
+func (s *scanner) bindSymbols(tab SymbolTable) {
+	if tab == s.syms {
+		return
+	}
+	s.syms = tab
+	for name, e := range s.names {
+		e.sym = s.resolve(name)
+		s.names[name] = e
+	}
+	s.nameCache = [nameCacheSize]nameEntry{}
 }
 
 // --- Event emission ------------------------------------------------------
@@ -314,7 +361,7 @@ func (s *scanner) intern(b []byte) string {
 // emit* methods, which either invoke the per-event Handler or append
 // Tokens to the current Batch (copying text into the batch arena).
 
-func (s *scanner) emitStart(name string) error {
+func (s *scanner) emitStart(name string, sym int32) error {
 	if s.bh == nil {
 		return s.h.StartElement(name)
 	}
@@ -325,11 +372,11 @@ func (s *scanner) emitStart(name string) error {
 		}
 		b = s.curBatch()
 	}
-	b.Tokens = append(b.Tokens, Token{Kind: StartElement, Name: name})
+	b.Tokens = append(b.Tokens, Token{Kind: StartElement, Sym: sym, Name: name})
 	return nil
 }
 
-func (s *scanner) emitEnd(name string) error {
+func (s *scanner) emitEnd(name string, sym int32) error {
 	if s.bh == nil {
 		return s.h.EndElement(name)
 	}
@@ -340,7 +387,7 @@ func (s *scanner) emitEnd(name string) error {
 		}
 		b = s.curBatch()
 	}
-	b.Tokens = append(b.Tokens, Token{Kind: EndElement, Name: name})
+	b.Tokens = append(b.Tokens, Token{Kind: EndElement, Sym: sym, Name: name})
 	return nil
 }
 
@@ -361,14 +408,65 @@ func (s *scanner) emitTextString(v string) error {
 }
 
 // flushText delivers the accumulated character data, decoding entity
-// references.
+// references: the text node that ends at the current tag.
 func (s *scanner) flushText() error {
-	t := s.text
-	if len(t) == 0 {
+	if len(s.pend) == 0 {
+		t := s.text
+		if len(t) == 0 {
+			return nil
+		}
+		s.text = s.text[:0]
+		return s.emitTextSeg(t)
+	}
+	s.splitText()
+	p := s.pend
+	s.pend = s.pend[:0]
+	if !s.pendInk && s.opt.SkipWhitespaceText {
 		return nil
 	}
+	s.pendInk = false
+	return s.emitDecoded(p)
+}
+
+// splitText ends the current raw run inside a text node — at a comment,
+// processing instruction or CDATA section — decoding it onto pend. Runs
+// are decoded separately, so an entity reference never spans the
+// interruption.
+func (s *scanner) splitText() {
+	if len(s.text) == 0 {
+		return
+	}
+	if !isAllSpaceBytes(s.text) {
+		s.pendInk = true
+	}
+	s.pend = appendDecoded(s.pend, s.text)
 	s.text = s.text[:0]
-	return s.emitTextSeg(t)
+}
+
+// flushBefore delivers the text preceding a failure in non-element
+// markup, so the handler sees the same event prefix as when the failure
+// follows a tag, and returns err.
+func (s *scanner) flushBefore(err error) error {
+	if ferr := s.flushText(); ferr != nil {
+		return ferr
+	}
+	return err
+}
+
+// emitDecoded delivers one complete, already decoded text node (p is
+// scratch, consumed before return).
+func (s *scanner) emitDecoded(p []byte) error {
+	if s.bh == nil {
+		return s.h.Text(string(p))
+	}
+	if err := s.roomFor(len(p)); err != nil {
+		return err
+	}
+	b := s.curBatch()
+	start := len(b.arena)
+	b.arena = append(b.arena, p...)
+	b.Tokens = append(b.Tokens, Token{Kind: Text, Data: b.arena[start:len(b.arena):len(b.arena)]})
+	return nil
 }
 
 // emitTextSeg delivers one complete character-data segment (t may point
@@ -401,29 +499,6 @@ func (s *scanner) emitTextSeg(t []byte) error {
 	return nil
 }
 
-// flushTextRaw delivers accumulated CDATA text without entity decoding.
-func (s *scanner) flushTextRaw() error {
-	t := s.text
-	if len(t) == 0 {
-		return nil
-	}
-	s.text = s.text[:0]
-	if s.opt.SkipWhitespaceText && isAllSpaceBytes(t) {
-		return nil
-	}
-	if s.bh == nil {
-		return s.h.Text(string(t))
-	}
-	if err := s.roomFor(len(t)); err != nil {
-		return err
-	}
-	b := s.curBatch()
-	start := len(b.arena)
-	b.arena = append(b.arena, t...)
-	b.Tokens = append(b.Tokens, Token{Kind: Text, Data: b.arena[start:len(b.arena):len(b.arena)]})
-	return nil
-}
-
 // --- Scan loop -----------------------------------------------------------
 
 func (s *scanner) run() error {
@@ -451,9 +526,6 @@ func (s *scanner) run() error {
 			return err
 		}
 		if b == '<' {
-			if err := s.flushText(); err != nil {
-				return err
-			}
 			if err := s.markup(&sawRoot); err != nil {
 				return err
 			}
@@ -470,13 +542,15 @@ func (s *scanner) run() error {
 
 // textRun consumes the maximal run of character data starting at the
 // current position — everything up to the next '<'. A run that lies
-// entirely within the current block is emitted straight from the input
-// buffer, skipping the text scratch; only block-straddling runs
-// accumulate. Outside the document element only whitespace is legal.
+// entirely within the current block and ends at a tag is emitted
+// straight from the input buffer, skipping the text scratch; runs that
+// straddle a block or continue past a comment, processing instruction
+// or CDATA section accumulate. Outside the document element only
+// whitespace is legal.
 func (s *scanner) textRun() error {
-	if len(s.text) == 0 && len(s.stack) > 0 {
+	if len(s.text) == 0 && len(s.pend) == 0 && len(s.stack) > 0 {
 		chunk := s.in[s.pos:s.lim]
-		if i := bytes.IndexByte(chunk, '<'); i >= 0 {
+		if i := bytes.IndexByte(chunk, '<'); i >= 0 && i+1 < len(chunk) && chunk[i+1] != '!' && chunk[i+1] != '?' {
 			s.pos += i
 			return s.emitTextSeg(chunk[:i])
 		}
@@ -511,20 +585,35 @@ func (s *scanner) textRun() error {
 	}
 }
 
-// markup handles everything after a '<'.
+// markup handles everything after a '<'. A tag ends the pending text
+// node; comments, processing instructions and CDATA sections do not.
 func (s *scanner) markup(sawRoot *bool) error {
 	b, err := s.readByte()
 	if err != nil {
-		return s.errf("unexpected EOF after '<'")
+		return s.flushBefore(s.errf("unexpected EOF after '<'"))
 	}
 	switch {
 	case b == '/':
+		if err := s.flushText(); err != nil {
+			return err
+		}
 		return s.endTag()
 	case b == '?':
-		return s.skipPI()
+		s.splitText()
+		if err := s.skipPI(); err != nil {
+			return s.flushBefore(err)
+		}
+		return nil
 	case b == '!':
-		return s.bangMarkup()
+		s.splitText()
+		if err := s.bangMarkup(); err != nil {
+			return s.flushBefore(err)
+		}
+		return nil
 	default:
+		if err := s.flushText(); err != nil {
+			return err
+		}
 		s.unreadByte()
 		if len(s.stack) == 0 && *sawRoot {
 			return s.errf("content after document element")
@@ -534,21 +623,22 @@ func (s *scanner) markup(sawRoot *bool) error {
 	}
 }
 
-// readName scans an element or attribute name. The fast path resolves
-// the whole name inside the current block; the scratch buffer is only
-// used when a name straddles a block boundary.
-func (s *scanner) readName() (string, error) {
+// readName scans an element or attribute name and returns it interned,
+// with its symbol ID. The fast path resolves the whole name inside the
+// current block; the scratch buffer is only used when a name straddles a
+// block boundary.
+func (s *scanner) readName() (string, int32, error) {
 	i := s.pos
 	for i < s.lim && isNameByte(s.in[i]) {
 		i++
 	}
 	if i < s.lim {
 		if i == s.pos {
-			return "", s.errf("expected name")
+			return "", -1, s.errf("expected name")
 		}
-		n := s.intern(s.in[s.pos:i])
+		n, sym := s.intern(s.in[s.pos:i])
 		s.pos = i
-		return n, nil
+		return n, sym, nil
 	}
 	// Name may continue into the next block: fall back to scratch.
 	s.buf = append(s.buf[:0], s.in[s.pos:i]...)
@@ -559,9 +649,9 @@ func (s *scanner) readName() (string, error) {
 			if err == io.EOF && len(s.buf) > 0 {
 				// A name ending exactly at EOF is always malformed markup —
 				// let the caller report the context.
-				return "", s.errf("unexpected EOF in name")
+				return "", -1, s.errf("unexpected EOF in name")
 			}
-			return "", s.errf("unexpected EOF in name")
+			return "", -1, s.errf("unexpected EOF in name")
 		}
 		if isNameByte(b) {
 			s.buf = append(s.buf, b)
@@ -571,9 +661,10 @@ func (s *scanner) readName() (string, error) {
 		break
 	}
 	if len(s.buf) == 0 {
-		return "", s.errf("expected name")
+		return "", -1, s.errf("expected name")
 	}
-	return s.intern(s.buf), nil
+	n, sym := s.intern(s.buf)
+	return n, sym, nil
 }
 
 func (s *scanner) skipSpace() error {
@@ -590,7 +681,7 @@ func (s *scanner) skipSpace() error {
 }
 
 func (s *scanner) startTag() error {
-	name, err := s.readName()
+	name, sym, err := s.readName()
 	if err != nil {
 		return err
 	}
@@ -602,7 +693,7 @@ func (s *scanner) startTag() error {
 		pnext = cur
 		if !cur.All {
 			if pnext = cur.Kids[name]; pnext == nil {
-				return s.skipElement(name)
+				return s.skipElement(name, sym)
 			}
 		}
 	}
@@ -629,7 +720,7 @@ func (s *scanner) startTag() error {
 			break
 		}
 		s.unreadByte()
-		aname, err := s.readName()
+		aname, _, err := s.readName()
 		if err != nil {
 			return err
 		}
@@ -663,19 +754,19 @@ func (s *scanner) startTag() error {
 		}
 	}
 
-	if err := s.emitStart(name); err != nil {
+	if err := s.emitStart(name, sym); err != nil {
 		return err
 	}
 	if s.opt.AttrsToSubelements {
 		for _, a := range attrs {
-			sub := s.intern(append(append(append(s.buf[:0], name...), '_'), a.name...))
+			sub, subSym := s.intern(append(append(append(s.buf[:0], name...), '_'), a.name...))
 			if pnext != nil && !pnext.All && pnext.Kids[sub] == nil {
-				if err := s.emitSkip(sub); err != nil {
+				if err := s.emitSkip(sub, subSym); err != nil {
 					return err
 				}
 				continue
 			}
-			if err := s.emitStart(sub); err != nil {
+			if err := s.emitStart(sub, subSym); err != nil {
 				return err
 			}
 			if a.value != "" {
@@ -683,13 +774,13 @@ func (s *scanner) startTag() error {
 					return err
 				}
 			}
-			if err := s.emitEnd(sub); err != nil {
+			if err := s.emitEnd(sub, subSym); err != nil {
 				return err
 			}
 		}
 	}
 	if selfClose {
-		return s.emitEnd(name)
+		return s.emitEnd(name, sym)
 	}
 	s.stack = append(s.stack, name)
 	if pnext != nil {
@@ -699,7 +790,7 @@ func (s *scanner) startTag() error {
 }
 
 func (s *scanner) endTag() error {
-	name, err := s.readName()
+	name, sym, err := s.readName()
 	if err != nil {
 		return err
 	}
@@ -721,7 +812,7 @@ func (s *scanner) endTag() error {
 	if len(s.prune) > 0 {
 		s.prune = s.prune[:len(s.prune)-1]
 	}
-	return s.emitEnd(name)
+	return s.emitEnd(name, sym)
 }
 
 // skipPI consumes a processing instruction (or XML declaration) up to "?>".
@@ -755,6 +846,12 @@ func (s *scanner) bangMarkup() error {
 	case '[':
 		return s.cdata()
 	default:
+		// A DOCTYPE belongs to the prolog. Skipping one inside an element
+		// would also split the surrounding character data into two text
+		// events that no serialization reproduces.
+		if len(s.stack) > 0 {
+			return s.errf("markup declaration inside element <%s>", s.stack[len(s.stack)-1])
+		}
 		s.unreadByte()
 		return s.skipDoctype()
 	}
@@ -789,26 +886,33 @@ func (s *scanner) cdata() error {
 	if len(s.stack) == 0 {
 		return s.errf("CDATA outside document element")
 	}
+	// The section's content is literal text of the current text node:
+	// it goes onto pend undecoded. A section that fails is dropped whole.
+	start := len(s.pend)
 	brackets := 0
 	for {
 		b, err := s.readByte()
 		if err != nil {
+			s.pend = s.pend[:start]
 			return s.errf("unexpected EOF in CDATA section")
 		}
 		switch {
 		case b == ']':
 			if brackets == 2 {
-				s.text = append(s.text, ']')
+				s.pend = append(s.pend, ']')
 			} else {
 				brackets++
 			}
 		case b == '>' && brackets >= 2:
-			return s.flushTextRaw()
+			if !isAllSpaceBytes(s.pend[start:]) {
+				s.pendInk = true
+			}
+			return nil
 		default:
 			for ; brackets > 0; brackets-- {
-				s.text = append(s.text, ']')
+				s.pend = append(s.pend, ']')
 			}
-			s.text = append(s.text, b)
+			s.pend = append(s.pend, b)
 		}
 	}
 }

@@ -51,14 +51,54 @@ func TestScanSkipsPrologCommentsPI(t *testing.T) {
 <!-- leading comment -->
 <a>x<!-- inner -->y<?pi data?></a>`
 	got := collect(t, doc, Options{})
+	// The comment and the processing instruction inside <a> are skipped
+	// without splitting its character data: "xy" is one text node.
 	want := []Event{
 		{StartElement, "a", ""},
-		{Text, "", "x"},
-		{Text, "", "y"},
+		{Text, "", "xy"},
 		{EndElement, "a", ""},
 	}
 	if !eventsEqual(got, want) {
 		t.Errorf("events = %v, want %v", got, want)
+	}
+}
+
+// TestScanTextNodeSpansMarkup: a text node interrupted by comments,
+// processing instructions and CDATA sections is still one text event.
+// Each raw run decodes on its own, so an entity reference cannot span
+// the interruption; CDATA content stays literal; whitespace skipping
+// judges the whole node; and a failure inside the markup still delivers
+// the text before it.
+func TestScanTextNodeSpansMarkup(t *testing.T) {
+	cases := []struct {
+		doc  string
+		opt  Options
+		want []Event
+	}{
+		{`<a>0<![CDATA[0]]></a>`, Options{}, []Event{{StartElement, "a", ""}, {Text, "", "00"}, {EndElement, "a", ""}}},
+		{`<a>&am<!-- c -->p;&lt;<![CDATA[&lt;]]><?p?>z</a>`, Options{},
+			[]Event{{StartElement, "a", ""}, {Text, "", "&amp;<&lt;z"}, {EndElement, "a", ""}}},
+		{"<a> <!-- c --> <![CDATA[ ]]><b/></a>", Options{SkipWhitespaceText: true},
+			[]Event{{StartElement, "a", ""}, {StartElement, "b", ""}, {EndElement, "b", ""}, {EndElement, "a", ""}}},
+		{"<a> <!-- c -->x</a>", Options{SkipWhitespaceText: true},
+			[]Event{{StartElement, "a", ""}, {Text, "", " x"}, {EndElement, "a", ""}}},
+	}
+	for _, c := range cases {
+		if got := collect(t, c.doc, c.opt); !eventsEqual(got, c.want) {
+			t.Errorf("%q: events = %v, want %v", c.doc, got, c.want)
+		}
+	}
+	var events Collector
+	err := ScanString(`<a>x<!-- c -->y<![CDATA[z`, &events, Options{})
+	if err == nil {
+		t.Fatal("unterminated CDATA: want a syntax error")
+	}
+	want := []Event{{StartElement, "a", ""}, {Text, "", "xy"}}
+	if !eventsEqual(events.Events, want) {
+		t.Errorf("events before the failure = %v, want %v", events.Events, want)
+	}
+	if err := ScanString(`<a>x<!DOCTYPE a>y</a>`, &events, Options{}); err == nil {
+		t.Error("DOCTYPE inside an element: want a syntax error")
 	}
 }
 

@@ -19,6 +19,10 @@ type Ingest struct {
 	doc string
 	m   *mux.Mux
 	cs  *sax.ChunkScanner
+	// started is closed once StartIngest has set cs, or failed before
+	// starting the scan (cs stays nil). The hub publishes the ingest
+	// before its scan exists, so a concurrent Hub.Close waits on it.
+	started chan struct{}
 
 	mu   sync.Mutex
 	subs map[int]*Subscription // mux slot -> activated subscription
@@ -82,6 +86,7 @@ func (ing *Ingest) Close() error {
 // cannot complete), blocked ring writes are released, and the cause is
 // preserved in the returned error.
 func (ing *Ingest) Abort(cause error) error {
+	<-ing.started
 	ing.hub.drop(ing)
 	// Release any scan-side ring write parked on a full buffer: the
 	// session behind it must fail so the scan can unwind, rather than
@@ -91,7 +96,10 @@ func (ing *Ingest) Abort(cause error) error {
 		sub.ring.closeRead(cause)
 	}
 	ing.mu.Unlock()
-	err := ing.cs.Abort(cause)
+	err := cause
+	if ing.cs != nil {
+		err = ing.cs.Abort(cause)
+	}
 	ing.finishAll(err)
 	ing.markDead(err)
 	return err

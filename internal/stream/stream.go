@@ -199,7 +199,8 @@ func (h *Hub) StartIngest(ctx context.Context, doc string) (*Ingest, error) {
 	if h.opt.ParallelGroups {
 		m.SetParallel(true)
 	}
-	ing := &Ingest{hub: h, doc: doc, m: m, subs: make(map[int]*Subscription), dead: make(chan struct{})}
+	ing := &Ingest{hub: h, doc: doc, m: m, subs: make(map[int]*Subscription),
+		started: make(chan struct{}), dead: make(chan struct{})}
 	m.OnDetach(func(slot int, err error) {
 		// Runs on the scan goroutine — or, under ParallelGroups, on the
 		// worker that owns the slot's routing group — right after the
@@ -233,12 +234,14 @@ func (h *Hub) StartIngest(ctx context.Context, doc string) (*Ingest, error) {
 
 	if err := m.BeginStream(); err != nil {
 		h.drop(ing)
+		close(ing.started)
 		return nil, err
 	}
 	ing.cs = sax.StartChunked(ctx, m, sax.Options{
 		SkipWhitespaceText: true,
 		AttrsToSubelements: h.opt.AttrsToSubelements,
 	})
+	close(ing.started)
 	return ing, nil
 }
 
