@@ -23,12 +23,13 @@ race-fault:
 
 # Parallel-pipeline gate: the packages the multicore shared scan cuts
 # across (mux dispatch, streaming ingestion, the root-level
-# sequential-vs-parallel differential) at GOMAXPROCS 1 and 4, under
-# the race detector — 1 pins the sequential fallback, 4 actually
+# sequential-vs-parallel differential, and the Executor, which picks
+# the worker pool from GOMAXPROCS) at GOMAXPROCS 1 and 4, under the
+# race detector — 1 pins the sequential fallback, 4 actually
 # interleaves producer and workers even on a smaller CI machine.
 race-cpu:
 	$(GO) test -race -cpu 1,4 ./internal/mux ./internal/stream
-	$(GO) test -race -cpu 1,4 -run 'Parallel|Streaming' .
+	$(GO) test -race -cpu 1,4 -run 'Parallel|Streaming|Executor' .
 
 fmt-check:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi

@@ -127,7 +127,7 @@ type config struct {
 	maxScansDoc int    // admission: concurrent scans per document (0 = unlimited)
 	maxResident int64  // admission: total resident predicted buffer bytes (0 = unlimited)
 	allFanout   bool   // disable selective fan-out
-	parGroups   bool   // parallel per-group evaluation on shared scans
+	parGroups   bool   // parallel per-group evaluation on ingested streams
 	shardID     int    // shard identity asserted at /shardz (-1 = standalone)
 	advertise   string // reachable address reported at /shardz
 }
@@ -302,7 +302,7 @@ func main() {
 		maxScansDoc = flag.Int("max-scans-per-doc", 0, "admission control: concurrent scans per document; excess scans queue (0 = unlimited)")
 		maxResident = flag.Int64("max-resident-buffer", 0, "admission control: total predicted resident buffer bytes across all scans; excess scans queue (0 = unlimited)")
 		allFanout   = flag.Bool("all-fanout", false, "deliver every scan event to every query instead of routing by projected-path signature (restores full per-query DTD validation)")
-		parGroups   = flag.Bool("parallel-groups", false, "evaluate a shared scan's event-routing groups on a worker pool (one worker per GOMAXPROCS core) instead of inline on the scan goroutine; results are identical, wall-clock drops on multicore hosts (no effect at GOMAXPROCS=1 or with -all-fanout)")
+		parGroups   = flag.Bool("parallel-groups", false, "live ingestion: evaluate each ingest's subscriptions on a worker pool (one worker per GOMAXPROCS core) instead of inline on the scan goroutine; results are identical (file scans use the pool on their own whenever GOMAXPROCS and the batch's routing groups allow)")
 
 		shardID   = flag.Int("shard-id", -1, "shard index this worker asserts at /shardz, for fluxrouter supervision (-1 = standalone)")
 		advertise = flag.String("advertise", "", "reachable base URL reported at /shardz, when the listen address is not routable as written")

@@ -50,14 +50,14 @@ func newServer(cfg config) (*shard.Server, error) {
 		AttrsToSubelements:     cfg.attrs,
 		BatchBufferBudget:      cfg.batchBudget,
 		DisableSelectiveFanout: cfg.allFanout,
-		ParallelGroups:         cfg.parGroups,
 	})
 	if err != nil {
 		return nil, err
 	}
 	// Built here rather than defaulted inside shard.NewServer so -attrs
-	// and -parallel-groups apply to ingested streams exactly as they do
-	// to file scans.
+	// applies to ingested streams exactly as it does to file scans, and
+	// -parallel-groups reaches the hub: file scans pick their own path,
+	// ingests keep the opt-in.
 	hub := stream.NewHub(cat, stream.Options{
 		AttrsToSubelements: cfg.attrs,
 		ParallelGroups:     cfg.parGroups,

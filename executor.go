@@ -40,6 +40,16 @@ import (
 // every query, which also restores full per-query DTD validation of
 // subtrees a query ignores.
 //
+// Automaton-routed scans use every core they can: with two or more
+// routing groups and GOMAXPROCS above 1, the groups' engine work runs on
+// a worker pool while the scan goroutine keeps tokenizing and routing
+// (mux.Mux.SetParallel); a single-group batch or a single-core process
+// scans sequentially. Output, stats and error isolation are identical
+// either way, and DocStats.ParallelScans counts the scans that went
+// parallel. A writer is written from whichever goroutine evaluates its
+// query, so concurrent executions must not share a writer that is not
+// safe for concurrent use.
+//
 // Dispatch is cost-based: each compiled plan carries a static predicted
 // peak buffer size (BufferReport.PredictedPeakBytes); when a batch's
 // sum exceeds ExecutorOptions.BatchBufferBudget the batch is split —
@@ -108,16 +118,6 @@ type ExecutorOptions struct {
 	// the two dispatch structures against each other. Ignored when
 	// DisableSelectiveFanout is set.
 	GroupRouting bool
-	// ParallelGroups evaluates each scan's event-routing groups on a
-	// worker pool instead of inline on the scan goroutine: the scan keeps
-	// tokenizing and routing through the merged automaton while engine
-	// work for different groups proceeds on other cores. Results, stats,
-	// and error isolation are identical to the sequential scan. Scans
-	// that cannot benefit — GOMAXPROCS=1, a single routing group —
-	// silently run sequentially; ignored under DisableSelectiveFanout or
-	// GroupRouting (DocStats.ParallelScans counts the scans that actually
-	// ran parallel).
-	ParallelGroups bool
 }
 
 // Defaults for ExecutorOptions zero values.
@@ -416,9 +416,10 @@ func (e *Executor) runScan(doc string, reqs []*execRequest) {
 		m = mux.NewSelectiveGrouped()
 	default:
 		m = mux.NewSelective()
-		if e.opt.ParallelGroups {
-			m.SetParallel(true)
-		}
+		// The mux decides from what it observes: it spreads the routing
+		// groups over a worker pool when GOMAXPROCS and the batch's group
+		// count allow, and stays sequential otherwise.
+		m.SetParallel(true)
 		if mach, hit := e.machineFor(doc, reqs); mach != nil {
 			m.SetMachine(mach)
 			c.autoStates.Store(int64(mach.States()))
@@ -561,10 +562,10 @@ type DocStats struct {
 	// instead of compiling one.
 	AutomatonHits int64 `json:"automaton_hits"`
 	// ParallelScans counts scans that ran the parallel per-group
-	// evaluation pipeline (ExecutorOptions.ParallelGroups); scans that
-	// fell back to sequential dispatch — one routing group, GOMAXPROCS=1
-	// — are excluded, so the gap to Scans shows how often the option
-	// actually engaged.
+	// evaluation pipeline. Every automaton-routed scan requests it; scans
+	// that stayed sequential — a single routing group, GOMAXPROCS=1,
+	// DisableSelectiveFanout or GroupRouting — are excluded, so the gap to
+	// Scans shows how often the worker pool engaged.
 	ParallelScans int64 `json:"parallel_scans"`
 }
 

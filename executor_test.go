@@ -7,6 +7,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -609,5 +610,62 @@ func TestSplitByBudgetRidersJoinFirstScan(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("streaming query not in the first sub-batch: %d/%d members", len(subs[0]), len(subs[1]))
+	}
+}
+
+// TestExecutorSelectsParallel: the executor chooses the scan path from
+// what it observes. At GOMAXPROCS ≥ 2 a batch of four routing groups
+// runs on the per-group worker pool and a one-query batch stays
+// sequential; at GOMAXPROCS 1 both stay sequential. Every output equals
+// the DOM oracle's.
+func TestExecutorSelectsParallel(t *testing.T) {
+	queries := []string{
+		`<out> { for $b in /bib/book return {$b/title} } </out>`,
+		`<out> { for $b in /bib/book return {$b/year} } </out>`,
+		`<out> { for $b in /bib/book return {$b} } </out>`,
+		`<out> { for $b in /bib/book where $b/year = '2004' return {$b/title} } </out>`,
+	}
+	want := make([]string, len(queries))
+	for i, q := range queries {
+		out, _, err := mustPrepare(t, q).RunString(catDoc, Options{Engine: Naive})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = out
+	}
+	for _, procs := range []int{max(2, runtime.GOMAXPROCS(0)), 1} {
+		t.Run(fmt.Sprintf("gomaxprocs=%d", procs), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			for _, n := range []int{len(queries), 1} {
+				_, ex, _ := newTestExecutor(t, n, 30*time.Second)
+				outs := make([]strings.Builder, n)
+				var wg sync.WaitGroup
+				for i := range n {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						res, err := ex.ExecuteContext(context.Background(), "bib", queries[i], &outs[i])
+						if err != nil {
+							t.Errorf("batch of %d, query %d: %v", n, i, err)
+						} else if res.BatchSize != n {
+							t.Errorf("batch of %d, query %d: batch size %d", n, i, res.BatchSize)
+						}
+					}()
+				}
+				wg.Wait()
+				for i := range n {
+					if outs[i].String() != want[i] {
+						t.Errorf("batch of %d, query %d: output %q, oracle %q", n, i, outs[i].String(), want[i])
+					}
+				}
+				var wantPar int64
+				if procs >= 2 && n > 1 {
+					wantPar = 1
+				}
+				if st := ex.Stats()["bib"]; st.Scans != 1 || st.ParallelScans != wantPar {
+					t.Errorf("batch of %d: %d scans, %d parallel; want 1 scan, %d parallel", n, st.Scans, st.ParallelScans, wantPar)
+				}
+			}
+		})
 	}
 }

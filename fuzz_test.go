@@ -292,11 +292,30 @@ func smallVocab(r *rand.Rand, n int) []string {
 	return texts[:n]
 }
 
+// tieDoc returns the longest of tieCandidates random documents whose
+// text is one value drawn from joinTexts. Over one value every kid value
+// of a join meets its probe value, so a probe's strict and non-strict
+// bounds (> versus >=, < versus <=) select different kids; the longest
+// candidate repeats elements often enough that probed loops start over
+// one source twice in a generation — the runs the index serves.
+func tieDoc(schema *dtd.Schema, seed int64) string {
+	const tieCandidates = 16
+	opt := dtd.GenOptions{Texts: smallVocab(rand.New(rand.NewSource(seed)), 1)}
+	var doc string
+	for k := range int64(tieCandidates) {
+		if c := dtd.RandomDocument(schema, seed+1000*k, opt); len(c) > len(doc) {
+			doc = c
+		}
+	}
+	return doc
+}
+
 func TestFuzzDifferential(t *testing.T) {
 	const queriesPerSchema = 120
 	// Per query: one document over the generator's default texts, one
-	// over joinTexts, and two over small vocabularies (smallVocab).
-	const docsPerQuery = 4
+	// over joinTexts, two over small vocabularies (smallVocab), and two
+	// over a single value (tieDoc).
+	const docsPerQuery = 6
 	// minProbedLoops keeps the generator reaching the engine's join
 	// probes (index lines in the plan): path-vs-path atoms guarding
 	// every output of a loop.
@@ -320,14 +339,18 @@ func TestFuzzDifferential(t *testing.T) {
 			}
 			probed += strings.Count(q.PlanText(), " index ")
 			for d := 0; d < docsPerQuery; d++ {
-				opt := dtd.GenOptions{}
-				switch {
-				case d == 1:
-					opt.Texts = joinTexts
-				case d > 1:
-					opt.Texts = smallVocab(rand.New(rand.NewSource(int64(seed*31+d))), d)
+				dseed := int64(seed*31 + d)
+				var doc string
+				switch d {
+				case 0:
+					doc = dtd.RandomDocument(schema, dseed, dtd.GenOptions{})
+				case 1:
+					doc = dtd.RandomDocument(schema, dseed, dtd.GenOptions{Texts: joinTexts})
+				case 2, 3:
+					doc = dtd.RandomDocument(schema, dseed, dtd.GenOptions{Texts: smallVocab(rand.New(rand.NewSource(dseed)), d)})
+				default:
+					doc = tieDoc(schema, dseed)
 				}
-				doc := dtd.RandomDocument(schema, int64(seed*31+d), opt)
 				outF, _, err := q.RunString(doc, Options{Engine: FluX})
 				if err != nil {
 					t.Fatalf("schema %d seed %d: flux run: %v\nquery: %s\ndoc: %s\nplan:\n%s",

@@ -15,6 +15,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -50,7 +51,8 @@ const (
 	// as one Executor batch with every event fanned to every query
 	// (all), signature-routed selective fan-out via per-group trie walks
 	// (selective, ExecutorOptions.GroupRouting), or via the batch's
-	// merged path automaton (automaton, the serving default). The
+	// merged path automaton (automaton, the serving default's routing,
+	// scanned sequentially at GOMAXPROCS 1). The
 	// disjoint-path xmark.FanoutQueries run under the synthetic query
 	// name "fanout" in all three modes; the 64-query shared-prefix set
 	// (xmark.SharedPrefixQueries) runs under "fanout-wide" in the
@@ -62,14 +64,17 @@ const (
 	ModeFanoutAll       Mode = "fanout-all"
 	ModeFanoutSelective Mode = "fanout-selective"
 	ModeFanoutAutomaton Mode = "fanout-automaton"
-	// ModeFanoutParallel is ModeFanoutAutomaton with the per-group worker
-	// pool (ExecutorOptions.ParallelGroups): the scan goroutine keeps
-	// tokenizing and running the merged automaton while group evaluation
-	// fans out across GOMAXPROCS workers. It runs on the fanout-wide set
-	// only — parallelism pays on wide batches, and equivalence is what the
-	// row exists to witness: CheckParallelEquivalence holds it to the
-	// automaton row's exact output bytes and token counts, and to strictly
-	// less wall clock when the snapshot machine has ≥ 4 CPUs.
+	// ModeFanoutParallel is the executor's default automaton scan at the
+	// process's GOMAXPROCS, which puts a multi-group batch on the
+	// per-group worker pool: the scan goroutine keeps tokenizing and
+	// running the merged automaton while group evaluation fans out across
+	// GOMAXPROCS workers (ModeFanoutAutomaton runs the same executor at
+	// GOMAXPROCS 1, where the mux stays sequential). It runs on the
+	// fanout-wide set only — parallelism pays on wide batches, and
+	// equivalence is what the row exists to witness:
+	// CheckParallelEquivalence holds it to the automaton row's exact
+	// output bytes and token counts, and to strictly less wall clock when
+	// the snapshot machine has ≥ 4 CPUs.
 	ModeFanoutParallel Mode = "fanout-parallel"
 	// ModeServedLatency is the open-loop latency measurement of the
 	// serving tier: requests are fired at a fixed arrival rate derived
@@ -1133,7 +1138,10 @@ func runShared(ctx context.Context, qnames []string, docPath string, sizeMB int,
 // submitted concurrently to one Executor batch (MaxBatch equal to the
 // query count, so exactly one dispatch decision) under one routing mode
 // — all-fanout, per-group selective walks (GroupRouting), or the merged
-// path automaton (the default). Elapsed is the best of sharedRepeats
+// path automaton (the default). The automaton mode scans at GOMAXPROCS
+// 1, so the executor keeps it on the sequential path; the parallel mode
+// is the same executor at the process's GOMAXPROCS, free to use the
+// per-group worker pool. Elapsed is the best of sharedRepeats
 // batch wall-clocks; Tokens (summed events delivered) and Buffer
 // (summed per-query peaks) are deterministic and recorded once.
 func runFanout(ctx context.Context, docPath string, sizeMB int, docBytes int64, qname string, queries []string, mode Mode) (Row, error) {
@@ -1148,10 +1156,12 @@ func runFanout(ctx context.Context, docPath string, sizeMB int, docBytes int64, 
 		MaxBatch:               len(queries),
 		DisableSelectiveFanout: mode == ModeFanoutAll,
 		GroupRouting:           mode == ModeFanoutSelective,
-		ParallelGroups:         mode == ModeFanoutParallel,
 	})
 	if err != nil {
 		return row, err
+	}
+	if mode == ModeFanoutAutomaton {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	}
 	for rep := 0; rep < sharedRepeats; rep++ {
 		results := make([]flux.ExecResult, len(queries))

@@ -1037,6 +1037,7 @@ func (m *Mux) fillSkipped() {
 		// counters as of the true abort token, where sequential routing
 		// would have stopped (the producer's matcher ran further).
 		m.parFillSkipped()
+		m.par.recycleRing()
 		return
 	}
 	if m.matcher != nil {

@@ -85,9 +85,14 @@ const (
 	// parRetain is the producer's item-retention window (batch mode): the
 	// masks and checkpoints of the last parRetain items stay readable so
 	// an all-failed abort can reconstruct skip counters at the abort
-	// token. It exceeds the largest possible producer overrun, which the
-	// batch ring caps at sax's ring size.
-	parRetain = 8
+	// token. It equals the largest possible producer overrun. Before
+	// filling a batch the scanner waits until every worker has released
+	// the batch BatchRingSize deliveries back, so when the producer last
+	// found a live slot, every item older than the newest BatchRingSize
+	// had been processed, and its failures counted; the abort token lies
+	// in one of those newest items. Batch mode cuts at most one item per
+	// batch, so the item the ring evicts is always fully processed.
+	parRetain = sax.BatchRingSize
 	// maxParWorkers caps the worker pool; beyond this, per-batch dispatch
 	// overhead outweighs added parallelism for realistic group counts.
 	maxParWorkers = 16
@@ -128,6 +133,9 @@ type parWorker struct {
 	groups []int // group indices owned by this worker
 	ch     chan parMsg
 	done   chan struct{}
+	// steps holds the current message's unpacked validator steps,
+	// indexed by (tok - lo)*nvals + validator.
+	steps []engine.Step
 }
 
 // parMsg is one unit of worker input: a token range of an item, or a
@@ -150,8 +158,10 @@ type parItem struct {
 	// (tok - firstTok).
 	masks []uint64
 	// steps holds nvals validator steps per covered token (element
-	// tokens only), indexed by (tok - firstTok)*nvals + validator.
-	steps    []engine.Step
+	// tokens only), indexed by (tok - firstTok)*nvals + validator; errs
+	// holds the few steps' errors they refer to.
+	steps    []parStep
+	errs     []error
 	nvals    int    // validator count when the item was created
 	kinds    []byte // token kinds, for parFillSkipped's reconstruction
 	words    int    // mask width when the item was created
@@ -167,9 +177,21 @@ type parItem struct {
 	retained bool
 }
 
+// parStep is an engine.Step packed for the item: a token's step is
+// copied per validator on the scan goroutine and kept while the item is
+// in the retention ring, so it carries the states as int32, leaves the
+// child production to a lookup by symbol on the worker, and keeps the
+// error in the item's errs (err is its index plus one, 0 for none).
+type parStep struct {
+	sym, prev, next, err int32
+}
+
 // parItemPool recycles item shells (mask and kind buffers) across
 // batches and scans.
 var parItemPool = sync.Pool{New: func() any { return &parItem{} }}
+
+// parStepsPool recycles the workers' unpacked-step buffers across scans.
+var parStepsPool = sync.Pool{New: func() any { return new([]engine.Step) }}
 
 // SetParallel requests parallel per-group evaluation for this Mux's
 // scan: session work moves onto a worker pool (one worker per
@@ -220,8 +242,9 @@ func (m *Mux) startParallel() {
 	}
 	for wi := range p.workers {
 		p.workers[wi] = &parWorker{
-			ch:   make(chan parMsg, parQueueDepth),
-			done: make(chan struct{}),
+			ch:    make(chan parMsg, parQueueDepth),
+			done:  make(chan struct{}),
+			steps: *parStepsPool.Get().(*[]engine.Step),
 		}
 	}
 	m.par = p
@@ -260,9 +283,26 @@ func (m *Mux) stopParallel() {
 	}
 	for _, w := range p.workers {
 		<-w.done
+		steps := w.steps[:0]
+		w.steps = nil
+		parStepsPool.Put(&steps)
 	}
 	p.fixup = m.stream == nil && len(m.sessions) > 0 &&
 		m.nlive.Load() == 0 && !p.exactAbort
+	if !p.fixup {
+		p.recycleRing()
+	}
+}
+
+// recycleRing returns the retained items to the pool once no skip-count
+// reconstruction can read them: at stop, or after parFillSkipped.
+func (p *parState) recycleRing() {
+	for i, it := range p.ring {
+		if it != nil {
+			putParItem(it)
+			p.ring[i] = nil
+		}
+	}
 }
 
 // parQuiesce drains the pipeline without stopping it: a barrier message
@@ -382,10 +422,12 @@ func (m *Mux) parNewItem(b *sax.Batch, firstTok int) *parItem {
 	}
 	nvals := len(m.vals)
 	if cap(it.steps) < n*nvals {
-		it.steps = make([]engine.Step, n*nvals)
+		it.steps = make([]parStep, n*nvals)
 	} else {
 		it.steps = it.steps[:n*nvals]
 	}
+	clear(it.errs)
+	it.errs = it.errs[:0]
 	it.batch = b
 	it.words = words
 	it.nvals = nvals
@@ -399,22 +441,58 @@ func (m *Mux) parNewItem(b *sax.Batch, firstTok int) *parItem {
 	return it
 }
 
-// putSteps copies the validators' steps for batch token tok into the
+// putSteps packs the validators' steps for batch token tok into the
 // item.
 func (it *parItem) putSteps(m *Mux, tok int) {
 	base := (tok - it.firstTok) * it.nvals
 	for vi, st := range m.vsteps {
-		it.steps[base+vi] = *st
+		ps := parStep{sym: st.Sym, prev: int32(st.Prev), next: int32(st.Next)}
+		if st.Err != nil {
+			it.errs = append(it.errs, st.Err)
+			ps.err = int32(len(it.errs))
+		}
+		it.steps[base+vi] = ps
 	}
 }
 
-// step returns the step of validator vi for batch token tok, nil for
-// vi < 0 (a group whose sessions validate themselves).
-func (it *parItem) step(tok, vi int) *engine.Step {
+// unpack expands the packed steps of the message's element tokens into
+// the worker's steps, once per token for all the groups that read them.
+// A start tag's step gets its child production back from the schema.
+func (w *parWorker) unpack(m *Mux, msg parMsg) {
+	it := msg.it
+	n := (msg.hi - msg.lo) * it.nvals
+	if cap(w.steps) < n {
+		w.steps = make([]engine.Step, n)
+	}
+	w.steps = w.steps[:n]
+	for ti := msg.lo; ti < msg.hi; ti++ {
+		kind := it.batch.Tokens[ti].Kind
+		if kind == sax.Text {
+			continue
+		}
+		src := it.steps[(ti-it.firstTok)*it.nvals:][:it.nvals]
+		dst := w.steps[(ti-msg.lo)*it.nvals:][:it.nvals]
+		for vi, ps := range src {
+			st := engine.Step{Sym: ps.sym, Prev: int(ps.prev), Next: int(ps.next)}
+			if ps.err > 0 {
+				st.Err = it.errs[ps.err-1]
+			}
+			if kind == sax.StartElement {
+				st.Child = m.vals[vi].Schema().ProductionSym(ps.sym)
+			}
+			dst[vi] = st
+		}
+	}
+}
+
+// step returns the unpacked step of validator vi for batch token tok of
+// the message, nil for vi < 0 (a group whose sessions validate
+// themselves).
+func (w *parWorker) step(msg parMsg, tok, vi int) *engine.Step {
 	if vi < 0 {
 		return nil
 	}
-	return &it.steps[(tok-it.firstTok)*it.nvals+vi]
+	return &w.steps[(tok-msg.lo)*msg.it.nvals+vi]
 }
 
 // parFlushRange sends the item's [lo, hi) token range to every worker,
@@ -493,6 +571,7 @@ func (m *Mux) parRelease(it *parItem) {
 func (m *Mux) parProcess(w *parWorker, msg parMsg) {
 	it := msg.it
 	stride := 2 * it.words
+	w.unpack(m, msg)
 	for _, gi := range w.groups {
 		if gi>>6 >= it.words {
 			continue // group joined after this item was cut
@@ -523,7 +602,7 @@ func (m *Mux) parProcess(w *parWorker, msg parMsg) {
 			switch t.Kind {
 			case sax.StartElement:
 				if deliver {
-					st := it.step(ti, g.val)
+					st := w.step(msg, ti, g.val)
 					for _, slot := range g.members {
 						if !m.live[slot] {
 							continue
@@ -533,7 +612,7 @@ func (m *Mux) parProcess(w *parWorker, msg parMsg) {
 						}
 					}
 				} else if it.masks[base+it.words]&bit != 0 {
-					st := it.step(ti, g.val)
+					st := w.step(msg, ti, g.val)
 					for _, slot := range g.members {
 						if !m.live[slot] {
 							continue
@@ -545,7 +624,7 @@ func (m *Mux) parProcess(w *parWorker, msg parMsg) {
 				}
 			case sax.EndElement:
 				if deliver {
-					st := it.step(ti, g.val)
+					st := w.step(msg, ti, g.val)
 					for _, slot := range g.members {
 						if !m.live[slot] {
 							continue
@@ -557,7 +636,7 @@ func (m *Mux) parProcess(w *parWorker, msg parMsg) {
 				}
 			case sax.SkipElement:
 				if deliver {
-					st := it.step(ti, g.val)
+					st := w.step(msg, ti, g.val)
 					for _, slot := range g.members {
 						if !m.live[slot] {
 							continue

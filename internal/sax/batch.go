@@ -123,7 +123,7 @@ func (b *Batch) waitIdle() {
 // and propagates the error to the caller, exactly like Handler.
 type BatchHandler interface {
 	// HandleBatch consumes one batch. The batch's tokens and arena remain
-	// valid until its ring slot is refilled, batchRingSize-1 deliveries
+	// valid until its ring slot is refilled, BatchRingSize-1 deliveries
 	// later; retain beyond that only by copying.
 	HandleBatch(b *Batch) error
 }
@@ -136,11 +136,15 @@ const (
 	// maxBatchTokens caps the events per batch, bounding delivery latency
 	// for markup-dense inputs whose arenas fill slowly.
 	maxBatchTokens = 1024
-	// batchRingSize is the number of batches in flight: a delivered
-	// batch's tokens stay valid for batchRingSize-1 further deliveries
-	// before its storage is reused.
-	batchRingSize = 4
 )
+
+// BatchRingSize is the number of batches a batched scan keeps in flight:
+// a delivered batch's tokens stay valid for BatchRingSize-1 further
+// deliveries before its storage is reused, and before refilling a batch
+// the scanner waits until every Retain of it has been released. A
+// consumer that retains batches is therefore never more than
+// BatchRingSize deliveries behind the scanner.
+const BatchRingSize = 4
 
 // arenaPool recycles batch arenas across scans.
 var arenaPool = sync.Pool{
@@ -235,7 +239,7 @@ func (s *scanner) flushBatch() error {
 		s.bhFailed = true
 		return err
 	}
-	s.ringPos = (s.ringPos + 1) % batchRingSize
+	s.ringPos = (s.ringPos + 1) % BatchRingSize
 	if next := s.ring[s.ringPos]; next != nil {
 		// Reuse the slot: the validity window of its previous contents has
 		// elapsed — unless a consumer retained the batch, in which case

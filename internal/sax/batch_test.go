@@ -88,7 +88,7 @@ func TestScanBatchedMatchesScan(t *testing.T) {
 			t.Fatalf("doc %d: batched scan: %v", i, err)
 		}
 		batchEventsEqual(t, legacy.Events, batched.Events, fmt.Sprintf("doc %d", i))
-		if len(doc) > 100_000 && batched.Batches <= batchRingSize {
+		if len(doc) > 100_000 && batched.Batches <= BatchRingSize {
 			t.Fatalf("doc %d: %d batches for a %d-byte document, want enough to wrap the ring", i, batched.Batches, len(doc))
 		}
 	}

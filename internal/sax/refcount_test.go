@@ -72,7 +72,7 @@ func TestBatchUnbalancedReleasePanics(t *testing.T) {
 }
 
 // TestScanBatchedRetainBackpressure: a retained batch stalls the
-// scanner at exactly the ring wrap — after batchRingSize further
+// scanner at exactly the ring wrap — after BatchRingSize further
 // deliveries flushBatch blocks in waitIdle on the retained slot — and
 // while it is stalled the batch's tokens and arena remain exactly as
 // delivered. A Release from a foreign goroutine unblocks the scan,
@@ -80,7 +80,7 @@ func TestBatchUnbalancedReleasePanics(t *testing.T) {
 // -race: the release goroutine reads the retained tokens concurrently
 // with the blocked scanner.
 func TestScanBatchedRetainBackpressure(t *testing.T) {
-	doc := bigDoc(5000) // many times batchRingSize batches
+	doc := bigDoc(5000) // many times BatchRingSize batches
 	var want Collector
 	if err := ScanString(doc, &want, Options{}); err != nil {
 		t.Fatal(err)
@@ -97,7 +97,7 @@ func TestScanBatchedRetainBackpressure(t *testing.T) {
 	go func() {
 		<-stalled
 		// Give the scanner time to (wrongly) run ahead; if waitIdle did
-		// not block, delivery batchRingSize+1 would land before Release
+		// not block, delivery BatchRingSize+1 would land before Release
 		// and the handler below would report it.
 		time.Sleep(50 * time.Millisecond)
 		evs := tokensToEvents(retained)
@@ -122,10 +122,10 @@ func TestScanBatchedRetainBackpressure(t *testing.T) {
 			b.Retain()
 			retained = b
 			snapshot = tokensToEvents(b)
-		case batchRingSize:
+		case BatchRingSize:
 			// The next flushBatch wraps onto slot 0 and must block there.
 			close(stalled)
-		case batchRingSize + 1:
+		case BatchRingSize + 1:
 			select {
 			case <-released:
 			default:
@@ -137,8 +137,8 @@ func TestScanBatchedRetainBackpressure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if calls <= batchRingSize {
-		t.Fatalf("scan delivered %d batches, want more than the ring size %d", calls, batchRingSize)
+	if calls <= BatchRingSize {
+		t.Fatalf("scan delivered %d batches, want more than the ring size %d", calls, BatchRingSize)
 	}
 	batchEventsEqual(t, want.Events, got.Events, "retained scan")
 }

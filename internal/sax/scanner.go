@@ -201,7 +201,7 @@ type scanner struct {
 	prune []*PruneNode
 
 	// Batched-mode state (see batch.go).
-	ring     [batchRingSize]*Batch
+	ring     [BatchRingSize]*Batch
 	ringPos  int
 	bhFailed bool // HandleBatch returned an error; do not flush again
 }

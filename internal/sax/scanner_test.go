@@ -253,6 +253,51 @@ func TestWriterRoundTrip(t *testing.T) {
 	}
 }
 
+// TestWriterBufferBoundary: tags and escaped text written across the
+// Writer's 64 KB buffer boundary come out byte for byte, every byte
+// counted. Each offset puts the boundary at another byte of the tags,
+// the text and its escapes; a tag name longer than the whole buffer
+// covers the tag that cannot fit at all.
+func TestWriterBufferBoundary(t *testing.T) {
+	const bufSize = 64 << 10
+	long := strings.Repeat("n", bufSize+100)
+	for off := 1; off <= 32; off++ {
+		fill := strings.Repeat("x", bufSize-off)
+		want := fill + "<element>a&lt;b&gt;&amp;c</element><" + long + ">&amp;&lt;&gt;" +
+			"</" + long + "><e>p&lt;q</e>"
+		var sb strings.Builder
+		w := NewWriter(&sb)
+		for _, err := range []error{
+			w.TextBytes([]byte(fill)),
+			w.StartElement("element"),
+			w.TextBytes([]byte("a<b>&c")),
+			w.EndElement("element"),
+			w.StartElement(long),
+			w.TextBytes([]byte("&<>")),
+			w.EndElement(long),
+			w.StartElement("e"),
+			w.Text("p<q"),
+			w.EndElement("e"),
+			w.Flush(),
+		} {
+			if err != nil {
+				t.Fatalf("offset %d: %v", off, err)
+			}
+		}
+		if sb.String() != want {
+			got := sb.String()
+			i := 0
+			for i < len(got) && i < len(want) && got[i] == want[i] {
+				i++
+			}
+			t.Fatalf("offset %d: output differs at byte %d of %d (got %d bytes)", off, i, len(want), len(got))
+		}
+		if w.BytesWritten() != int64(len(want)) {
+			t.Fatalf("offset %d: BytesWritten = %d, want %d", off, w.BytesWritten(), len(want))
+		}
+	}
+}
+
 func TestEscapeText(t *testing.T) {
 	cases := map[string]string{
 		"plain":  "plain",

@@ -2,7 +2,6 @@ package sax
 
 import (
 	"bufio"
-	"bytes"
 	"io"
 	"strings"
 )
@@ -54,25 +53,35 @@ func (w *Writer) writeString(s string) error {
 }
 
 // StartElement implements Handler.
-func (w *Writer) StartElement(name string) error {
-	if err := w.writeString("<"); err != nil {
-		return err
-	}
-	if err := w.writeString(name); err != nil {
-		return err
-	}
-	return w.writeString(">")
-}
+func (w *Writer) StartElement(name string) error { return w.tag("<", name) }
 
 // EndElement implements Handler.
-func (w *Writer) EndElement(name string) error {
-	if err := w.writeString("</"); err != nil {
-		return err
+func (w *Writer) EndElement(name string) error { return w.tag("</", name) }
+
+// tag writes open, name and '>' with one append into the buffer's free
+// space. A tag longer than that space grows a copy, which Write splits
+// across the flush; the bytes are those of three separate writes.
+func (w *Writer) tag(open, name string) error {
+	if w.err != nil {
+		return w.err
 	}
-	if err := w.writeString(name); err != nil {
-		return err
+	b := append(w.w.AvailableBuffer(), open...)
+	b = append(b, name...)
+	return w.write(append(b, '>'))
+}
+
+// escaped marks the bytes that must not appear literally in character
+// data.
+var escaped = [256]bool{'<': true, '>': true, '&': true}
+
+// clean returns the length of the prefix of data that needs no escaping.
+func clean[T string | []byte](data T) int {
+	for i := 0; i < len(data); i++ {
+		if escaped[data[i]] {
+			return i
+		}
 	}
-	return w.writeString(">")
+	return len(data)
 }
 
 // Text implements Handler. Character data is escaped.
@@ -87,11 +96,12 @@ func (w *Writer) TextBytes(data []byte) error {
 	if w.err != nil {
 		return w.err
 	}
-	if !bytes.ContainsAny(data, "<>&") {
+	i := clean(data)
+	if i == len(data) {
 		return w.write(data)
 	}
 	start := 0
-	for i := 0; i < len(data); i++ {
+	for ; i < len(data); i++ {
 		var esc string
 		switch data[i] {
 		case '<':
@@ -131,12 +141,14 @@ func (w *Writer) Raw(s string) error { return w.writeString(s) }
 // EscapeText escapes the characters that must not appear literally in XML
 // character data.
 func EscapeText(s string) string {
-	if !strings.ContainsAny(s, "<>&") {
+	i := clean(s)
+	if i == len(s) {
 		return s
 	}
 	var b strings.Builder
 	b.Grow(len(s) + 8)
-	for i := 0; i < len(s); i++ {
+	b.WriteString(s[:i])
+	for ; i < len(s); i++ {
 		switch s[i] {
 		case '<':
 			b.WriteString("&lt;")
